@@ -3,7 +3,8 @@ package analog
 import "sync"
 
 // readScratch owns every transient buffer one analog read chain needs, so
-// the steady-state MVM path performs zero heap allocations. One scratch
+// the steady-state MVM path performs zero heap allocations. Tile
+// programming leases one too, for the normals it draws in bulk. One scratch
 // serves one goroutine's Forward pass at a time: AnalogLinear.ForwardInto
 // leases a scratch from the pool on entry and returns it on exit, and every
 // Tile/SlicedTile read threads the same scratch through its sub-calls
@@ -24,6 +25,7 @@ type readScratch struct {
 	load  []float32 // IR-drop column load
 	xrow  []float32 // rescaled input row (AnalogLinear with NORA s)
 	comp  []float32 // shift-added composite of a SlicedTile read
+	norm  []float32 // normals a programming loop draws in one FillNormal
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(readScratch) }}

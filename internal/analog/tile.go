@@ -164,8 +164,8 @@ func (t *Tile) drawNu(r *rng.Rand) *tensor.Matrix {
 		scale = 1
 	}
 	nu := tensor.New(t.rows, t.cols)
-	for i := range nu.Data {
-		v := driftNuMean + driftNuStd*r.NormFloat32()
+	r.FillNormal(nu.Data, driftNuMean, driftNuStd)
+	for i, v := range nu.Data {
 		if v < driftNuMin {
 			v = driftNuMin
 		} else if v > driftNuMax {
@@ -181,16 +181,26 @@ func (t *Tile) drawNu(r *rng.Rand) *tensor.Matrix {
 // and programs the residual, with programming noise proportional to the
 // correction magnitude. This models the paper's §II write-verify process;
 // the residual error converges to the read-noise / minimum-pulse floor.
+//
+// Each iteration draws its 2·len(programmed) normals in one FillNormal, in
+// the scalar order: cell i's read noise, then its programming noise.
 func (t *Tile) writeVerify(programmed, ideal []float32, lo, hi float32, vr *rng.Rand) {
+	if t.cfg.WriteVerify <= 0 {
+		return
+	}
+	s := getScratch()
+	defer putScratch(s)
+	noise := grow(&s.norm, 2*len(programmed))
 	for iter := 0; iter < t.cfg.WriteVerify; iter++ {
+		vr.FillNormal(noise, 0, 1)
 		for i := range programmed {
-			read := programmed[i] + t.cfg.WNoise*vr.NormFloat32()
+			read := programmed[i] + t.cfg.WNoise*noise[2*i]
 			resid := ideal[i] - read
 			mag := resid
 			if mag < 0 {
 				mag = -mag
 			}
-			w := programmed[i] + resid + t.progSigma(mag)*vr.NormFloat32()
+			w := programmed[i] + resid + t.progSigma(mag)*noise[2*i+1]
 			if w > hi {
 				w = hi
 			} else if w < lo {
@@ -205,14 +215,15 @@ func (t *Tile) writeVerify(programmed, ideal []float32, lo, hi float32, vr *rng.
 func (t *Tile) programSigned(ideal *tensor.Matrix, progRng *rng.Rand) {
 	t.wProg = ideal.Clone()
 	if t.cfg.ProgNoiseScale > 0 {
-		pr := progRng.Split("prog")
-		for i := range t.wProg.Data {
-			w := t.wProg.Data[i]
+		s := getScratch()
+		noise := grow(&s.norm, len(t.wProg.Data))
+		progRng.Split("prog").FillNormal(noise, 0, 1)
+		for i, w := range t.wProg.Data {
 			mag := w
 			if mag < 0 {
 				mag = -mag
 			}
-			w += t.progSigma(mag) * pr.NormFloat32()
+			w += t.progSigma(mag) * noise[i]
 			if w > 1 {
 				w = 1
 			} else if w < -1 {
@@ -220,6 +231,7 @@ func (t *Tile) programSigned(ideal *tensor.Matrix, progRng *rng.Rand) {
 			}
 			t.wProg.Data[i] = w
 		}
+		putScratch(s)
 		t.writeVerify(t.wProg.Data, ideal.Data, -1, 1, progRng.Split("verify"))
 	}
 	var mask []uint8
@@ -253,23 +265,25 @@ func (t *Tile) programDifferential(ideal *tensor.Matrix, progRng *rng.Rand) {
 		idealMinus = t.gMinus.Clone()
 	}
 	if t.cfg.ProgNoiseScale > 0 {
-		prP := progRng.Split("prog+")
-		prM := progRng.Split("prog-")
-		clip01 := func(g float32) float32 {
-			if g < 0 {
-				return 0
+		// g⁺ and g⁻ draw from separate streams, so programming one plane
+		// after the other keeps each stream's order.
+		s := getScratch()
+		noise := grow(&s.norm, len(t.gPlus.Data))
+		program := func(plane []float32, label string) {
+			progRng.Split(label).FillNormal(noise, 0, 1)
+			for i, g := range plane {
+				g += t.progSigma(g) * noise[i]
+				if g < 0 {
+					g = 0
+				} else if g > 1 {
+					g = 1
+				}
+				plane[i] = g
 			}
-			if g > 1 {
-				return 1
-			}
-			return g
 		}
-		for i := range t.gPlus.Data {
-			gp := t.gPlus.Data[i]
-			gm := t.gMinus.Data[i]
-			t.gPlus.Data[i] = clip01(gp + t.progSigma(gp)*prP.NormFloat32())
-			t.gMinus.Data[i] = clip01(gm + t.progSigma(gm)*prM.NormFloat32())
-		}
+		program(t.gPlus.Data, "prog+")
+		program(t.gMinus.Data, "prog-")
+		putScratch(s)
 		t.writeVerify(t.gPlus.Data, idealPlus.Data, 0, 1, progRng.Split("verify+"))
 		t.writeVerify(t.gMinus.Data, idealMinus.Data, 0, 1, progRng.Split("verify-"))
 	}

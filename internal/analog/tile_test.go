@@ -1,6 +1,8 @@
 package analog
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -381,4 +383,44 @@ func TestMVMRowLengthPanics(t *testing.T) {
 		}
 	}()
 	tile.MVMRow(make([]float32, 5), rng.New(61))
+}
+
+// progDigest is the FNV-1a digest TestTileProgrammingDigest computes,
+// fixed with the per-cell NormFloat32 programming loops from before those
+// loops drew their normals through FillNormal.
+const progDigest = 0xade9a3a3fdf27ed0
+
+// TestTileProgrammingDigest pins the programmed state of a tile — weights
+// after programming noise and write-verify, drift exponents, effective
+// weights after drift — for the signed and differential mappings, with and
+// without write-verify. The 37×29 slice is odd-sized, so every fill ends
+// on a cached half pair.
+func TestTileProgrammingDigest(t *testing.T) {
+	h := fnv.New64a()
+	var word [4]byte
+	put := func(v []float32) {
+		for _, x := range v {
+			binary.LittleEndian.PutUint32(word[:], math.Float32bits(x))
+			h.Write(word[:])
+		}
+	}
+	for _, diff := range []bool{false, true} {
+		for _, wv := range []int{0, 2} {
+			cfg := PaperPreset()
+			cfg.DifferentialPair = diff
+			cfg.WriteVerify = wv
+			cfg.DriftT = 3600
+			tile := NewTile(cfg, randMat(41, 37, 29), rng.New(43).Split("tile"))
+			put(tile.wProg.Data)
+			put(tile.wEff.Data)
+			for _, nu := range []*tensor.Matrix{tile.nu, tile.nuPlus, tile.nuMinus} {
+				if nu != nil {
+					put(nu.Data)
+				}
+			}
+		}
+	}
+	if got := h.Sum64(); got != progDigest {
+		t.Fatalf("programming digest = %#x, want %#x", got, uint64(progDigest))
+	}
 }

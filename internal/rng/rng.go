@@ -12,6 +12,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // StreamVersion selects the Gaussian sampling algorithm of a stream. The
@@ -175,9 +176,13 @@ func (r *Rand) Split(label string) *Rand {
 func (r *Rand) Uint32() uint32 {
 	old := r.state
 	r.state = old*pcgMult + r.inc
+	return pcgOut(old)
+}
+
+// pcgOut is the PCG-XSH-RR output permutation of one LCG state.
+func pcgOut(old uint64) uint32 {
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))
+	return bits.RotateLeft32(xorshifted, -int(old>>59))
 }
 
 // Uint64 returns the next 64 random bits.
@@ -228,14 +233,7 @@ func (r *Rand) normPair() (c, s float64) {
 		if u == 0 {
 			continue
 		}
-		v := r.Float64()
-		mag := math.Sqrt(-2 * math.Log(u))
-		// math.Sincos shares one argument reduction between the two
-		// evaluations; its results are bit-identical to separate
-		// math.Sin/math.Cos calls (asserted by TestSincosBitIdentical),
-		// so the historical draw values are preserved exactly.
-		sin, cos := math.Sincos(2 * math.Pi * v)
-		return mag * cos, mag * sin
+		return boxMuller(u, r.Float64())
 	}
 }
 
@@ -364,7 +362,10 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 
 // FillNormal fills dst with i.i.d. Gaussian(mu, sigma) float32 samples.
 // The draw sequence (including the Box-Muller pair cache) is identical to
-// calling mu + sigma*NormFloat32() once per element.
+// calling mu + sigma*NormFloat32() once per element; with mu = 0 and
+// sigma = 1 the values are NormFloat32's bit for bit, since a Box-Muller
+// draw is never −0. Whole pairs are drawn in blocks through
+// boxMullerBlock.
 func (r *Rand) FillNormal(dst []float32, mu, sigma float32) {
 	if r.version == StreamV2 {
 		for i := range dst {
@@ -378,10 +379,15 @@ func (r *Rand) FillNormal(dst []float32, mu, sigma float32) {
 		dst[0] = mu + sigma*float32(r.gauss)
 		i = 1
 	}
-	for ; i+1 < len(dst); i += 2 {
-		c, s := r.normPair()
-		dst[i] = mu + sigma*float32(c)
-		dst[i+1] = mu + sigma*float32(s)
+	var b normBlock
+	for len(dst)-i >= 2 {
+		n := r.nextPairs(&b, (len(dst)-i)/2)
+		d := dst[i : i+2*n]
+		for k, c := range b.u[:n] {
+			d[2*k] = mu + sigma*float32(c)
+			d[2*k+1] = mu + sigma*float32(b.v[k])
+		}
+		i += 2 * n
 	}
 	if i < len(dst) {
 		c, s := r.normPair()
@@ -408,10 +414,15 @@ func (r *Rand) FillNormalAdd(dst []float32, sigma float32) {
 		dst[0] += sigma * float32(r.gauss)
 		i = 1
 	}
-	for ; i+1 < len(dst); i += 2 {
-		c, s := r.normPair()
-		dst[i] += sigma * float32(c)
-		dst[i+1] += sigma * float32(s)
+	var b normBlock
+	for len(dst)-i >= 2 {
+		n := r.nextPairs(&b, (len(dst)-i)/2)
+		d := dst[i : i+2*n]
+		for k, c := range b.u[:n] {
+			d[2*k] += sigma * float32(c)
+			d[2*k+1] += sigma * float32(b.v[k])
+		}
+		i += 2 * n
 	}
 	if i < len(dst) {
 		c, s := r.normPair()

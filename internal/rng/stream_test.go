@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -110,31 +112,105 @@ func TestStreamVersionsShareUniformLayer(t *testing.T) {
 	}
 }
 
-// TestStreamV1Unchanged pins that New(seed) still produces the exact legacy
-// Box-Muller sequence: NewStream(seed, StreamV1) and a hand-rolled
-// Box-Muller replay over the raw uniform stream must agree bit-for-bit.
+// bmReplay is a hand-rolled StreamV1 reference: Box-Muller with the
+// one-value pair cache, written out with math.Log and math.Sincos over the
+// raw uniform stream of the same seed.
+type bmReplay struct {
+	u      *Rand
+	cached float64
+	has    bool
+}
+
+func (b *bmReplay) next() float64 {
+	if b.has {
+		b.has = false
+		return b.cached
+	}
+	for {
+		u1 := b.u.Float64()
+		if u1 == 0 {
+			continue
+		}
+		u2 := b.u.Float64()
+		mag := math.Sqrt(-2 * math.Log(u1))
+		sin, cos := math.Sincos(2 * math.Pi * u2)
+		b.cached, b.has = mag*sin, true
+		return mag * cos
+	}
+}
+
+// v1Digest is the FNV-1a digest of the draws TestStreamV1Unchanged makes,
+// computed with the scalar Box-Muller FillNormal/FillNormalAdd loops from
+// before the SSE2 kernel existed.
+const v1Digest = 0x4073ba5d56071392
+
+// TestStreamV1Unchanged pins the StreamV1 sequence over a long mixed run.
+// A seeded schedule interleaves NormFloat64, NormFloat32, FillNormal and
+// FillNormalAdd calls — fills of length 0–130, so odd lengths carry the
+// pair cache from one call into the next — until at least 2^20 values are
+// drawn. Every value must equal the hand-rolled replay bit for bit, and
+// the digest of all of them must equal v1Digest.
 func TestStreamV1Unchanged(t *testing.T) {
 	r := NewStream(42, StreamV1)
-	u := New(42) // raw uniform replay
-	for i := 0; i < 128; i += 2 {
-		var c, s float64
-		for {
-			u1 := u.Float64()
-			if u1 == 0 {
-				continue
+	ref := &bmReplay{u: New(42)}
+	sched := New(7)
+	h := fnv.New64a()
+	var word [8]byte
+	record := func(bits uint64) {
+		binary.LittleEndian.PutUint64(word[:], bits)
+		h.Write(word[:])
+	}
+	affine := [][2]float32{{0, 1}, {0.25, 1.5}, {0.031, 0.012}, {-1, 0.04}}
+	buf := make([]float32, 130)
+	drawn, calls := 0, 0
+	for ; drawn < 1<<20; calls++ {
+		switch sched.Intn(4) {
+		case 0:
+			got, want := r.NormFloat64(), ref.next()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("call %d NormFloat64: %v, replay %v", calls, got, want)
 			}
-			u2 := u.Float64()
-			mag := math.Sqrt(-2 * math.Log(u1))
-			sin, cos := math.Sincos(2 * math.Pi * u2)
-			c, s = mag*cos, mag*sin
-			break
+			record(math.Float64bits(got))
+			drawn++
+		case 1:
+			got, want := r.NormFloat32(), float32(ref.next())
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("call %d NormFloat32: %v, replay %v", calls, got, want)
+			}
+			record(uint64(math.Float32bits(got)))
+			drawn++
+		case 2:
+			dst := buf[:sched.Intn(len(buf)+1)]
+			a := affine[sched.Intn(len(affine))]
+			r.FillNormal(dst, a[0], a[1])
+			for i, got := range dst {
+				want := a[0] + a[1]*float32(ref.next())
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("call %d FillNormal(len %d, %v)[%d] = %v, replay %v",
+						calls, len(dst), a, i, got, want)
+				}
+				record(uint64(math.Float32bits(got)))
+			}
+			drawn += len(dst)
+		case 3:
+			dst := buf[:sched.Intn(len(buf)+1)]
+			sched.FillUniform(dst, -2, 2)
+			base := append([]float32(nil), dst...)
+			sigma := affine[sched.Intn(len(affine))][1]
+			r.FillNormalAdd(dst, sigma)
+			for i, got := range dst {
+				want := base[i] + sigma*float32(ref.next())
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("call %d FillNormalAdd(len %d, %v)[%d] = %v, replay %v",
+						calls, len(dst), sigma, i, got, want)
+				}
+				record(uint64(math.Float32bits(got)))
+			}
+			drawn += len(dst)
 		}
-		if got := r.NormFloat64(); got != c {
-			t.Fatalf("draw %d: %v, want %v", i, got, c)
-		}
-		if got := r.NormFloat64(); got != s {
-			t.Fatalf("draw %d: %v, want %v", i+1, got, s)
-		}
+	}
+	if got := h.Sum64(); got != v1Digest {
+		t.Fatalf("digest of %d draws over %d calls = %#x, want %#x", drawn, calls, got, uint64(v1Digest))
 	}
 }
 

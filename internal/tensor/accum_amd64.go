@@ -13,7 +13,7 @@ package tensor
 func accumQuadAsm(dst, r0, r1, r2, r3 *float32, n int, x0, x1, x2, x3 float32)
 
 // accumQuad folds four b-rows into dst with one load/store of dst per
-// element group (see accum_generic.go for the portable definition).
+// element group; accumQuadGeneric is the portable definition.
 func accumQuad(dst, r0, r1, r2, r3 []float32, x0, x1, x2, x3 float32) {
 	if len(dst) == 0 {
 		return

@@ -8,15 +8,19 @@
 # numbers: short-prompt p95 TTFT of DecodeMixedChunked64 vs
 # DecodeMixedMonolithic at aggregate tok/s within 5%.
 #
-# Usage:
-#   scripts/bench.sh                 # 5 runs, 1s each, writes BENCH_pr8.json
+# Usage (OUT is required, so a run never overwrites a checked-in artifact
+# by default):
+#   OUT=/tmp/bench.json scripts/bench.sh          # 5 runs, 1s each
 #   COUNT=3 BENCHTIME=2s OUT=/tmp/b.json scripts/bench.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+if [ -z "${OUT:-}" ]; then
+    echo "usage: OUT=<file.json> [COUNT=5] [BENCHTIME=1s] scripts/bench.sh" >&2
+    exit 1
+fi
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-1s}"
-OUT="${OUT:-BENCH_pr8.json}"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
