@@ -17,16 +17,16 @@ import (
 //
 //	phase 1 (deterministic, no RNG): per-row input scales α, the shared DAC
 //	  conversion X̂, per-row ‖x̂‖², and one blocked matrix-matrix MAC per
-//	  tile (plus the IR-drop load MAC) for all T rows at once;
+//	  tile (fused with the IR-drop load MAC) for all T rows at once;
 //	phase 2 (stochastic, sequential): for each row in order, for each tile
 //	  in the historical (row-block, col-block) order, the digitize tail —
 //	  read noise, IR-drop, nonlinearity, ADC — plus bound-management
 //	  retries and the digital rescale.
 //
 // Because phase 1 draws nothing and the blocked MAC is bit-identical to the
-// per-row products (tensor.accumRows accumulates in strict k order), phase 2
-// consumes the noise stream in exactly the historical order and the batched
-// result is bit-identical to the row loop. Modes that draw *before* the MAC
+// per-row products (the tensor panel kernels accumulate in strict k order),
+// phase 2 consumes the noise stream in exactly the historical order and the
+// batched result is bit-identical to the row loop. Modes that draw *before* the MAC
 // (bit-serial pulse planes, additive input noise) cannot be split this way
 // and fall back to the row loop — see (*Tile).batchable.
 
@@ -89,7 +89,6 @@ type inputPrep struct {
 	alpha  []float32      // per-row input scale; 0 marks a silent row
 	xnorm2 []float64      // per-row ‖x̂‖² for the collapsed read-noise model
 	xhat   *tensor.Matrix // DAC-converted inputs at the first-attempt scales
-	xabs   *tensor.Matrix // |x̂| for IR-drop load estimation (nil unless enabled)
 }
 
 // tilePrep is the phase-1 result of one tile: the batched MAC block and,
@@ -208,37 +207,22 @@ func (b *batchScratch) tilePreps(n int) []tilePrep {
 }
 
 // prepareInputs runs the RNG-free input phase over the T rows of xs: α per
-// row, the shared DAC conversion, ‖x̂‖², and |x̂| when IR-drop needs it.
-// Rows with α = 0 are zeroed (they contribute nothing and, matching the
-// scalar path, draw nothing in phase 2).
+// row, the shared DAC conversion and ‖x̂‖². Rows with α = 0 are zeroed (they
+// contribute nothing and, matching the scalar path, draw nothing in phase 2).
 func (t *Tile) prepareInputs(ip *inputPrep, xs *tensor.Matrix, bs *batchScratch) {
 	T := xs.Rows
 	ip.xs = xs
 	ip.alpha = bs.floats(T)
 	ip.xnorm2 = bs.floats64(T)
 	ip.xhat = bs.matrix(T, t.rows)
-	needAbs := t.cfg.IRDropScale > 0
-	if needAbs {
-		ip.xabs = bs.matrix(T, t.rows)
-	} else {
-		ip.xabs = nil
-	}
 	for i := 0; i < T; i++ {
 		row := xs.Row(i)
 		xh := ip.xhat.Row(i)
 		a := t.rowAlpha(row)
 		ip.alpha[i] = a
 		if a == 0 {
-			for k := range xh {
-				xh[k] = 0
-			}
+			clear(xh)
 			ip.xnorm2[i] = 0
-			if needAbs {
-				xa := ip.xabs.Row(i)
-				for k := range xa {
-					xa[k] = 0
-				}
-			}
 			continue
 		}
 		t.quantizeRowInto(xh, row, a)
@@ -246,15 +230,6 @@ func (t *Tile) prepareInputs(ip *inputPrep, xs *tensor.Matrix, bs *batchScratch)
 		// it is deterministic, cheap next to the MAC, and keeps the prep
 		// valid even if individual tiles were advanced to different times.
 		ip.xnorm2[i] = norm2(xh)
-		if needAbs {
-			xa := ip.xabs.Row(i)
-			for k, v := range xh {
-				if v < 0 {
-					v = -v
-				}
-				xa[k] = v
-			}
-		}
 	}
 }
 
@@ -270,15 +245,17 @@ func (t *Tile) leaseMAC(p *tilePrep, ip *inputPrep, bs *batchScratch) {
 	}
 }
 
-// runMAC executes the tile's batched MACs into the leased matrices. It
-// touches only p's buffers and read-only tile state, so distinct tiles may
-// run concurrently (SetMACWorkers). The serial kernel keeps the path
-// allocation-free and bit-identical to per-row VecMul products.
+// runMAC executes the tile's batched MAC into the leased matrices — with
+// IR-drop, x̂·W and the column load |x̂|·|W| in one fused pass. It touches
+// only p's buffers and read-only tile state, so distinct tiles may run
+// concurrently (SetMACWorkers). The serial kernels keep the path
+// allocation-free and bit-identical to the per-row reads of macRow.
 func (t *Tile) runMAC(p *tilePrep, ip *inputPrep) {
-	tensor.MatMulSerialInto(p.z, ip.xhat, t.wEff)
 	if p.load != nil {
-		tensor.MatMulSerialInto(p.load, ip.xabs, t.absW)
+		tensor.MatMulAbsSerialInto(p.z, p.load, ip.xhat, t.wEff, t.absW)
+		return
 	}
+	tensor.MatMulSerialInto(p.z, ip.xhat, t.wEff)
 }
 
 // finishRow runs phase 2 for row i: the stochastic digitize tail over the

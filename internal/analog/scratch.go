@@ -16,7 +16,6 @@ import "sync"
 // fully overwritten (or explicitly zeroed) before it is read.
 type readScratch struct {
 	xhat  []float32 // DAC-converted pulse vector (voltage-mode read)
-	xabs  []float32 // |pulse| for IR-drop column-load estimation
 	pulse []float32 // per-plane pulses of a bit-serial read
 	signs []float32 // bit-serial input signs
 	mags  []int32   // bit-serial quantized input magnitudes

@@ -437,17 +437,8 @@ func (t *Tile) rowAlpha(xs []float32) float32 {
 func (t *Tile) quantizeRowInto(xhat, xs []float32, scale float32) {
 	if inv := t.invInSteps; inv != 0 {
 		// Power-of-two step count: replace quantizeUnit's final
-		// division with an exact reciprocal multiply.
-		half := float32(t.cfg.InSteps)
-		for k, v := range xs {
-			q := v / scale
-			if q > 1 {
-				q = 1
-			} else if q < -1 {
-				q = -1
-			}
-			xhat[k] = float32(math.Round(float64(q*half))) * inv
-		}
+		// division with an exact reciprocal multiply, in packed lanes.
+		tensor.QuantizeUnitInto(xhat, xs, scale, float32(t.cfg.InSteps), inv)
 		return
 	}
 	for k, v := range xs {
@@ -492,14 +483,10 @@ func (t *Tile) MVMRowInto(coef float32, dst, xs []float32, r *rng.Rand, s *readS
 	xhat := grow(&s.xhat, t.rows)
 	t.quantizeRowInto(xhat, xs, alpha)
 	z := grow(&s.z, t.cols)
-	tensor.VecMulInto(z, xhat, t.wEff)
+	load := t.macRow(z, xhat, s)
 	var xnorm2 float64
 	if t.wReadSigma > 0 {
 		xnorm2 = norm2(xhat)
-	}
-	var load []float32
-	if t.cfg.IRDropScale > 0 {
-		load = t.columnLoad(xhat, s)
 	}
 	t.finishRowCore(coef, dst, z, xnorm2, load, xs, alpha, r, s)
 }
@@ -603,19 +590,17 @@ func norm2(v []float32) float64 {
 	return s
 }
 
-// columnLoad computes the IR-drop column load |x̂|ᵀ·|W| into s.load (via
-// s.xabs), identical to the historical in-line computation.
-func (t *Tile) columnLoad(xhat []float32, s *readScratch) []float32 {
-	t.ensureAbsW()
-	xabs := grow(&s.xabs, len(xhat))
-	for k, v := range xhat {
-		if v < 0 {
-			v = -v
-		}
-		xabs[k] = v
+// macRow computes the crossbar MAC z = x̂·W of one pulse vector and, when
+// IR-drop is modelled, the column load |x̂|·|W| in the same fused pass,
+// returned in s.load (nil without IR-drop). It is the per-row twin of
+// runMAC, with the same bits.
+func (t *Tile) macRow(z, xvec []float32, s *readScratch) (load []float32) {
+	if t.cfg.IRDropScale <= 0 {
+		tensor.VecMulInto(z, xvec, t.wEff)
+		return nil
 	}
-	load := grow(&s.load, t.cols)
-	tensor.VecMulInto(load, xabs, t.absW)
+	load = grow(&s.load, t.cols)
+	tensor.VecMulAbsInto(z, load, xvec, t.wEff, t.absW)
 	return load
 }
 
@@ -624,14 +609,10 @@ func (t *Tile) columnLoad(xhat []float32, s *readScratch) []float32 {
 // then the digitizeRow tail (noise, IR-drop, nonlinearity, ADC). z is in
 // normalized (post-ADC) output units.
 func (t *Tile) analogReadInto(z, xvec []float32, r *rng.Rand, s *readScratch) (saturated bool) {
-	tensor.VecMulInto(z, xvec, t.wEff)
+	load := t.macRow(z, xvec, s)
 	var xnorm2 float64
 	if t.wReadSigma > 0 {
 		xnorm2 = norm2(xvec)
-	}
-	var load []float32
-	if t.cfg.IRDropScale > 0 {
-		load = t.columnLoad(xvec, s)
 	}
 	return t.digitizeRow(z, xnorm2, load, r)
 }

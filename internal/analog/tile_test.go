@@ -424,3 +424,126 @@ func TestTileProgrammingDigest(t *testing.T) {
 		t.Fatalf("programming digest = %#x, want %#x", got, uint64(progDigest))
 	}
 }
+
+// readDigest is the FNV-1a digest TestTileReadDigest computes, fixed with
+// the four-row SSE2 accumulation kernel and the separate |x̂| load matmul
+// that phase 1 of the tile read used before the AVX2 panel kernels.
+const readDigest = 0x4adac4cd008227e4
+
+// readInputs returns a T×width input block. The "nora" kind is what a
+// rescaled layer streams: an outlier-heavy block divided channel-wise by
+// s_k = √max|x_k|, so its outliers are tamed. The "outlier" kind keeps the
+// raw block, with four 30× outlier channels, and silences rows: row 1 is
+// all zero and, when the block spans two tile row blocks, row 2 is zero
+// only over the first block's channels (cut).
+func readInputs(kind string, seed uint64, T, width, cut int) *tensor.Matrix {
+	x := randMat(seed, T, width)
+	for _, ch := range []int{3, 11, 20, 33} {
+		if ch >= width {
+			continue
+		}
+		for i := 0; i < T; i++ {
+			x.Data[i*width+ch] *= 30
+		}
+	}
+	if kind == "nora" {
+		s := x.AbsMaxPerCol()
+		for k := range s {
+			s[k] = float32(math.Sqrt(float64(s[k])))
+		}
+		for i := 0; i < T; i++ {
+			row := x.Row(i)
+			for k := range row {
+				row[k] /= s[k]
+			}
+		}
+		return x
+	}
+	if T > 1 {
+		for k := range x.Row(1) {
+			x.Row(1)[k] = 0
+		}
+	}
+	if T > 2 && cut > 0 {
+		for k := range x.Row(2)[:cut] {
+			x.Row(2)[k] = 0
+		}
+	}
+	return x
+}
+
+// TestTileReadDigest pins the bytes an analog read returns — the whole
+// chain of Eq. 5 and Eq. 3: α, DAC conversion, the crossbar MAC, IR-drop
+// load, noise, ADC, bound-management retries and the digital rescale. The
+// harness goldens and determinism tests compare implementations that
+// share the tensor kernels; this digest is what notices a kernel that
+// changes bits everywhere. The grid: signed and differential mappings,
+// IR-drop on and off, bound management that retries and none, rescaled and
+// outlier-heavy inputs with silent rows, T ∈ {1, 3, 64}, read through a
+// 37×29 tile and a sliced tile (MVMBatchInto) and through a 2×2 tile grid
+// with and without a NORA vector installed (AnalogLinear.ForwardInto).
+func TestTileReadDigest(t *testing.T) {
+	h := fnv.New64a()
+	var word [4]byte
+	put := func(m *tensor.Matrix) {
+		for _, x := range m.Data {
+			binary.LittleEndian.PutUint32(word[:], math.Float32bits(x))
+			h.Write(word[:])
+		}
+	}
+	const in, out = 40, 30 // a 2×2 grid of 24×16 tiles
+	w := randMat(71, 37, 29)
+	wl := randMat(72, in, out)
+	s := randVec(73, in)
+	for k := range s {
+		s[k] = 0.5 + s[k]*s[k]
+	}
+	for _, diff := range []bool{false, true} {
+		for _, ir := range []float32{0, 1} {
+			for _, bm := range []bool{true, false} {
+				cfg := PaperPreset()
+				cfg.DifferentialPair = diff
+				cfg.IRDropScale = ir
+				cfg.BoundManagement = bm
+				cfg.OutBound = 3 // low enough that rescaled rows saturate
+				cfg.TileRows, cfg.TileCols = 64, 64
+				tile := NewTile(cfg, w, rng.New(74))
+				sliced := NewSlicedTile(cfg, w, 2, 4, rng.New(75))
+				gcfg := cfg
+				gcfg.TileRows, gcfg.TileCols = 24, 16
+				plain := NewAnalogLinear("plain", wl, nil, nil, gcfg, rng.New(76))
+				nora := NewAnalogLinear("nora", wl, nil, s, gcfg, rng.New(77))
+				rt, rs := rng.New(78), rng.New(79)
+				for _, kind := range []string{"nora", "outlier"} {
+					for _, T := range []int{1, 3, 64} {
+						xs := readInputs(kind, uint64(80+T), T, 37, 0)
+						for _, tl := range []struct {
+							m mvmTile
+							r *rng.Rand
+						}{{tile, rt}, {sliced, rs}} {
+							dst := tensor.New(T, 29)
+							tl.m.MVMBatchInto(1, dst, xs, tl.r)
+							put(dst)
+						}
+						layer := plain
+						if kind == "nora" {
+							layer = nora
+						}
+						xl := readInputs("outlier", uint64(90+T), T, in, 24)
+						y := tensor.New(T, out)
+						layer.ForwardInto(y, xl)
+						put(y)
+					}
+				}
+				retries := tile.CounterSnapshot().BMRetries + sliced.CounterSnapshot().BMRetries +
+					plain.CostCounters().BMRetries + nora.CostCounters().BMRetries
+				if bm && retries == 0 {
+					t.Fatalf("diff=%v ir=%v: bound management never retried; the grid lost its retry arm", diff, ir)
+				}
+			}
+		}
+	}
+	if got := h.Sum64(); got != readDigest {
+		t.Fatalf("read digest = %#x, want %#x", got, uint64(readDigest))
+	}
+}

@@ -32,11 +32,13 @@ func kPanelFor(n int) int {
 
 // MatMul returns a·b. Panics if the inner dimensions disagree.
 //
-// The kernel uses the i-k-j loop order so the innermost loop streams both a
-// row of b and a row of the output, k-panel blocks b for cache reuse across
-// output rows, and parallelizes across row blocks of a. Accumulation into
-// every output element happens in strictly increasing k order, so results
-// are bit-identical to the naive triple loop.
+// The kernel k-panel blocks b for cache reuse across output rows and
+// parallelizes across row blocks of a. Within a panel, macPanel keeps a
+// block of one output row's partial sums in registers while it streams the
+// panel's rows of b (AVX2 on amd64 CPUs that have it, portable Go
+// elsewhere). Accumulation into every output element happens in strictly
+// increasing k order and zero inputs are skipped, which is exact for finite
+// b, so results are bit-identical to the naive triple loop.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dim %d != %d", a.Cols, b.Rows))
@@ -89,6 +91,8 @@ func matMulInto(out, a, b *Matrix) {
 	wg.Wait()
 }
 
+// matMulRange accumulates rows [rowLo, rowHi) of a·b into out, one k-panel
+// of b at a time.
 func matMulRange(out, a, b *Matrix, rowLo, rowHi int) {
 	n := b.Cols
 	if n == 0 {
@@ -100,44 +104,9 @@ func matMulRange(out, a, b *Matrix, rowLo, rowHi int) {
 		if k1 > a.Cols {
 			k1 = a.Cols
 		}
+		panel := b.Data[k0*n : k1*n]
 		for i := rowLo; i < rowHi; i++ {
-			accumRows(out.Row(i), a.Row(i)[k0:k1], b, k0)
-		}
-	}
-}
-
-// accumRows computes dst[j] += Σ_k x[k]·b[k0+k][j] — the shared axpy kernel
-// behind MatMul and VecMul. The k loop is unrolled 4-way with one load/store
-// of dst per group instead of per row (accumQuad: SSE2 on amd64, scalar
-// elsewhere); each dst element still receives its addends in strictly
-// increasing k order, so the result is bit-identical to the scalar loop
-// (adding a zero product is exact: the accumulator can never be −0, because
-// it starts at the running +0-rooted sum).
-func accumRows(dst, x []float32, b *Matrix, k0 int) {
-	n := b.Cols
-	k := 0
-	for ; k+3 < len(x); k += 4 {
-		x0, x1, x2, x3 := x[k], x[k+1], x[k+2], x[k+3]
-		if x0 == 0 && x1 == 0 && x2 == 0 && x3 == 0 {
-			continue
-		}
-		base := (k0 + k) * n
-		accumQuad(dst,
-			b.Data[base:base+n],
-			b.Data[base+n:base+2*n],
-			b.Data[base+2*n:base+3*n],
-			b.Data[base+3*n:base+4*n],
-			x0, x1, x2, x3)
-	}
-	for ; k < len(x); k++ {
-		xv := x[k]
-		if xv == 0 {
-			continue
-		}
-		base := (k0 + k) * n
-		row := b.Data[base : base+n][:len(dst)]
-		for j, rv := range row {
-			dst[j] += xv * rv
+			macPanel(out.Row(i), a.Row(i)[k0:k1], panel, n)
 		}
 	}
 }
@@ -146,8 +115,8 @@ func accumRows(dst, x []float32, b *Matrix, k0 int) {
 // goroutines, whatever the product size — the kernel for callers that need
 // a strict zero-allocation guarantee (the analog batched read path, whose
 // steady state is gated at 0 allocs/op). Results are bit-identical to
-// MatMul: the same k-panel blocked accumRows kernel runs over the same
-// panels in the same order.
+// MatMul: every output element receives the same addends in the same k
+// order.
 func MatMulSerialInto(out, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dim %d != %d", a.Cols, b.Rows))
@@ -159,6 +128,42 @@ func MatMulSerialInto(out, a, b *Matrix) {
 		out.Data[i] = 0
 	}
 	matMulRange(out, a, b, 0, a.Rows)
+}
+
+// MatMulAbsSerialInto computes out = a·b and absOut = |a|·absB in one
+// serial pass, overwriting both: the analog tile read's crossbar MAC x̂·W
+// and its IR-drop column load |x̂|·|W| (absB = |b|). absB must have b's
+// shape. Both results are bit-identical to MatMulSerialInto(out, a, b) and
+// MatMulSerialInto(absOut, |a|, absB).
+func MatMulAbsSerialInto(out, absOut, a, b, absB *Matrix) {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMul inner dim %d != %d", a.Cols, b.Rows))
+	}
+	if !b.SameShape(absB) {
+		panic(fmt.Sprintf("tensor: MatMulAbsSerialInto absB %dx%d, b %dx%d", absB.Rows, absB.Cols, b.Rows, b.Cols))
+	}
+	if out.Rows != a.Rows || out.Cols != b.Cols || !out.SameShape(absOut) {
+		panic(fmt.Sprintf("tensor: MatMulAbsSerialInto out %dx%d and %dx%d, expected %dx%d",
+			out.Rows, out.Cols, absOut.Rows, absOut.Cols, a.Rows, b.Cols))
+	}
+	clear(out.Data)
+	clear(absOut.Data)
+	n := b.Cols
+	if n == 0 {
+		return
+	}
+	// Two matrices stream through each panel, so it holds half the rows.
+	kc := kPanelFor(2 * n)
+	for k0 := 0; k0 < a.Cols; k0 += kc {
+		k1 := k0 + kc
+		if k1 > a.Cols {
+			k1 = a.Cols
+		}
+		w, aw := b.Data[k0*n:k1*n], absB.Data[k0*n:k1*n]
+		for i := 0; i < a.Rows; i++ {
+			macAbsPanel(out.Row(i), absOut.Row(i), a.Row(i)[k0:k1], w, aw, n)
+		}
+	}
 }
 
 // MatMulT returns a·bᵀ without materializing the transpose. b is treated as
@@ -242,10 +247,10 @@ func matMulTRange(out, a, b *Matrix, rowLo, rowHi int) {
 				b3 := b.Row(j + 3)[k0:k1]
 				s0, s1, s2, s3 := orow[j], orow[j+1], orow[j+2], orow[j+3]
 				for k, av := range arow {
-					s0 += av * b0[k]
-					s1 += av * b1[k]
-					s2 += av * b2[k]
-					s3 += av * b3[k]
+					s0 += float32(av * b0[k])
+					s1 += float32(av * b1[k])
+					s2 += float32(av * b2[k])
+					s3 += float32(av * b3[k])
 				}
 				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 			}
@@ -253,7 +258,7 @@ func matMulTRange(out, a, b *Matrix, rowLo, rowHi int) {
 				brow := b.Row(j)[k0:k1]
 				s := orow[j]
 				for k, av := range arow {
-					s += av * brow[k]
+					s += float32(av * brow[k])
 				}
 				orow[j] = s
 			}
@@ -290,10 +295,10 @@ func MulVecInto(dst []float32, m *Matrix, x []float32) {
 		r3 := m.Data[base+3*n : base+4*n][:len(x)]
 		var s0, s1, s2, s3 float32
 		for k, xv := range x {
-			s0 += r0[k] * xv
-			s1 += r1[k] * xv
-			s2 += r2[k] * xv
-			s3 += r3[k] * xv
+			s0 += float32(r0[k] * xv)
+			s1 += float32(r1[k] * xv)
+			s2 += float32(r2[k] * xv)
+			s3 += float32(r3[k] * xv)
 		}
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 	}
@@ -301,7 +306,7 @@ func MulVecInto(dst []float32, m *Matrix, x []float32) {
 		row := m.Row(i)
 		var s float32
 		for k, v := range row {
-			s += v * x[k]
+			s += float32(v * x[k])
 		}
 		dst[i] = s
 	}
@@ -317,9 +322,8 @@ func VecMul(x []float32, m *Matrix) []float32 {
 }
 
 // VecMulInto computes dst = xᵀ·m (len(dst) = m.Cols), overwriting dst
-// without allocating — the zero-allocation kernel behind the analog read
-// path. It shares MatMul's unrolled axpy kernel, so results are
-// bit-identical to the scalar k-j loop.
+// without allocating. It runs MatMul's panel kernel over the whole of x, so
+// results are bit-identical to the scalar k-j loop.
 func VecMulInto(dst []float32, x []float32, m *Matrix) {
 	if len(x) != m.Rows {
 		panic(fmt.Sprintf("tensor: VecMul len(x)=%d, rows=%d", len(x), m.Rows))
@@ -327,10 +331,26 @@ func VecMulInto(dst []float32, x []float32, m *Matrix) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: VecMulInto len(dst)=%d, cols=%d", len(dst), m.Cols))
 	}
-	for j := range dst {
-		dst[j] = 0
+	clear(dst)
+	macPanel(dst, x, m.Data, m.Cols)
+}
+
+// VecMulAbsInto computes dst = xᵀ·m and absDst = |x|ᵀ·absM in one pass,
+// overwriting both: the single-row form of MatMulAbsSerialInto, with the
+// same bits.
+func VecMulAbsInto(dst, absDst, x []float32, m, absM *Matrix) {
+	if len(x) != m.Rows {
+		panic(fmt.Sprintf("tensor: VecMul len(x)=%d, rows=%d", len(x), m.Rows))
 	}
-	accumRows(dst, x, m, 0)
+	if !m.SameShape(absM) {
+		panic(fmt.Sprintf("tensor: VecMulAbsInto absM %dx%d, m %dx%d", absM.Rows, absM.Cols, m.Rows, m.Cols))
+	}
+	if len(dst) != m.Cols || len(absDst) != m.Cols {
+		panic(fmt.Sprintf("tensor: VecMulAbsInto len(dst)=%d, len(absDst)=%d, cols=%d", len(dst), len(absDst), m.Cols))
+	}
+	clear(dst)
+	clear(absDst)
+	macAbsPanel(dst, absDst, x, m.Data, absM.Data, m.Cols)
 }
 
 // Outer returns the outer product a·bᵀ of two vectors as a len(a)×len(b)

@@ -184,33 +184,13 @@ func (m *Matrix) AddRowVecInPlace(v []float32) {
 }
 
 // AbsMax returns the maximum absolute value over all elements (0 for empty).
-func (m *Matrix) AbsMax() float32 {
-	var mx float32
-	for _, v := range m.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
+func (m *Matrix) AbsMax() float32 { return AbsMaxVec(m.Data) }
 
 // AbsMaxPerRow returns max_j |m[i,j]| for each row i.
 func (m *Matrix) AbsMaxPerRow() []float32 {
 	out := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var mx float32
-		for _, v := range m.Row(i) {
-			if v < 0 {
-				v = -v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		out[i] = mx
+	for i := range out {
+		out[i] = AbsMaxVec(m.Row(i))
 	}
 	return out
 }
@@ -258,7 +238,7 @@ func MSE(m, o *Matrix) float64 {
 	var s float64
 	for i, v := range m.Data {
 		d := float64(v) - float64(o.Data[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(m.Data))
 }
@@ -267,7 +247,7 @@ func MSE(m, o *Matrix) float64 {
 func (m *Matrix) Frobenius() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
@@ -318,7 +298,7 @@ func Dot(a, b []float32) float64 {
 	}
 	var s float64
 	for i, v := range a {
-		s += float64(v) * float64(b[i])
+		s += float64(float64(v) * float64(b[i]))
 	}
 	return s
 }
@@ -329,22 +309,24 @@ func Axpy(alpha float32, x, y []float32) {
 		panic("tensor: Axpy length mismatch")
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float32(alpha * v)
 	}
 }
 
-// AbsMaxVec returns max_i |v[i]| (0 for empty).
+// AbsMaxVec returns max_i |v[i]| (0 for empty). NaN elements are skipped.
 func AbsMaxVec(v []float32) float32 {
-	var mx float32
-	for _, x := range v {
-		if x < 0 {
-			x = -x
-		}
-		if x > mx {
-			mx = x
-		}
-	}
-	return mx
+	mx, n := absMaxBlock(v)
+	return absMaxFrom(mx, v[n:])
+}
+
+// QuantizeUnitInto converts src to a symmetric uniform grid:
+// dst[k] = round(clamp(src[k]/scale, −1, 1)·half)·inv, rounding half away
+// from zero in float64 as math.Round does. It is the analog DAC conversion
+// for a power-of-two step count half, where inv = 1/half exactly; len(dst)
+// must be at least len(src).
+func QuantizeUnitInto(dst, src []float32, scale, half, inv float32) {
+	n := quantizeBlock(dst, src, scale, half, inv)
+	quantizeUnitGeneric(dst[n:], src[n:], scale, half, inv)
 }
 
 func checkSame(op string, m, o *Matrix) {
