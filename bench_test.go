@@ -510,8 +510,7 @@ func BenchmarkDigitalForward(b *testing.B) {
 }
 
 // BenchmarkAnalogForward measures the analog inference forward pass under
-// the full Table II noise stack, on the default sequence-batched read path
-// (batch = analog.DefaultBatchRows).
+// the full Table II noise stack.
 func BenchmarkAnalogForward(b *testing.B) {
 	w, _ := benchWorkloads(b)
 	runner := core.Deploy(w.Model, core.DeployAnalogNaive, nil, analog.PaperPreset(), 1, core.Options{})
@@ -523,23 +522,7 @@ func BenchmarkAnalogForward(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalogForwardRowLoop is BenchmarkAnalogForward pinned to the
-// historical row-at-a-time read loop (batch = 1) — the before side of the
-// batched-path speedup, bit-identical in output to the batched run.
-func BenchmarkAnalogForwardRowLoop(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	analog.SetDefaultBatchRows(1)
-	defer analog.SetDefaultBatchRows(0)
-	runner := core.Deploy(w.Model, core.DeployAnalogNaive, nil, analog.PaperPreset(), 1, core.Options{})
-	seq := w.Eval[0][:len(w.Eval[0])-1]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runner.Logits(seq)
-	}
-}
-
-// BenchmarkAnalogForwardStreamV2 runs the batched forward under the opt-in
+// BenchmarkAnalogForwardStreamV2 runs the analog forward under the opt-in
 // StreamV2 ziggurat noise stream — statistically equivalent Gaussians, a
 // different (cheaper) draw sequence, separately fingerprinted.
 func BenchmarkAnalogForwardStreamV2(b *testing.B) {

@@ -10,7 +10,7 @@
 //	           [-max-batch 16] [-max-delay 2ms] [-queue 256] [-timeout 30s]
 //	           [-decode-batch 16] [-prefill-chunk 64] [-kv-pages 0]
 //	           [-chips 1] [-replicas 0] [-policy health] [-fault-gradient 0]
-//	           [-eval 150] [-batch 0] [-noise-stream v1]
+//	           [-eval 150] [-noise-stream v1]
 //
 // With -chips > 1 requests route through a simulated multi-chip fleet
 // (internal/fleet): each chip realizes independent fault/drift draws, the

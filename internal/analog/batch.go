@@ -3,83 +3,35 @@ package analog
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"nora/internal/rng"
 	"nora/internal/tensor"
 )
 
-// Sequence-batched analog reads.
+// The analog read.
 //
-// The historical read path streams one activation row at a time through
-// MVMRowInto: quantize, MAC, noise, ADC, rescale — per row, per tile. The
-// batched path splits that into two phases over a T-row block:
+// Every analog read — of one row or of many, through AnalogLinear or a
+// standalone tile — runs as two phases over a block of T input rows:
 //
 //	phase 1 (deterministic, no RNG): per-row input scales α, the shared DAC
 //	  conversion X̂, per-row ‖x̂‖², and one blocked matrix-matrix MAC per
 //	  tile (fused with the IR-drop load MAC) for all T rows at once;
 //	phase 2 (stochastic, sequential): for each row in order, for each tile
-//	  in the historical (row-block, col-block) order, the digitize tail —
-//	  read noise, IR-drop, nonlinearity, ADC — plus bound-management
-//	  retries and the digital rescale.
+//	  in (row-block, col-block) order, the digitize tail — read noise,
+//	  IR-drop, nonlinearity, ADC — plus bound-management retries and the
+//	  digital rescale.
 //
 // Because phase 1 draws nothing and the blocked MAC is bit-identical to the
 // per-row products (the tensor panel kernels accumulate in strict k order),
-// phase 2 consumes the noise stream in exactly the historical order and the
-// batched result is bit-identical to the row loop. Modes that draw *before* the MAC
-// (bit-serial pulse planes, additive input noise) cannot be split this way
-// and fall back to the row loop — see (*Tile).batchable.
+// phase 2 consumes the noise stream in the same order whatever the block
+// size, and a block of T rows reads exactly like T blocks of one row. Modes
+// that draw before the MAC (bit-serial pulse planes, additive input noise)
+// get no phase-1 MAC: phase 2 runs each of their attempts as a complete
+// read (see (*Tile).finishRow).
 
-// DefaultBatchRows is the activation-row chunk size of the batched forward
-// path when no override is installed (SetDefaultBatchRows, engine config or
-// the cmd -batch flag). Batch size never changes results — only how many
-// rows share one phase-1 pass — so it is a runtime knob, not part of the
-// config fingerprint.
-const DefaultBatchRows = 64
-
-var batchRowsOverride atomic.Int32
-
-// SetDefaultBatchRows sets the process-wide batch size for analog forward
-// passes: n ≥ 2 batches n rows per pass, n == 1 disables batching (the
-// row-at-a-time legacy loop), and n ≤ 0 restores DefaultBatchRows.
-func SetDefaultBatchRows(n int) {
-	if n <= 0 {
-		batchRowsOverride.Store(0)
-		return
-	}
-	batchRowsOverride.Store(int32(n))
-}
-
-// BatchRows returns the effective process-wide batch size.
-func BatchRows() int {
-	if n := batchRowsOverride.Load(); n > 0 {
-		return int(n)
-	}
-	return DefaultBatchRows
-}
-
-var macWorkersN atomic.Int32
-
-// SetMACWorkers sets the goroutine count for phase-1 MAC execution across a
-// layer's column/row tile panels. n ≤ 1 keeps the serial default — the
-// right choice when sequence-level eval parallelism already saturates the
-// cores, and the configuration under which the batch path is
-// allocation-free. Parallelism never changes results: phase 1 is
-// deterministic and every worker writes disjoint per-tile buffers.
-func SetMACWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	macWorkersN.Store(int32(n))
-}
-
-// MACWorkers returns the effective phase-1 worker count (≥ 1).
-func MACWorkers() int {
-	if n := macWorkersN.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
+// chunkRows is the number of activation rows AnalogLinear reads per phase-1
+// pass. It never changes results, only how many rows share one blocked MAC.
+const chunkRows = 64
 
 // inputPrep is the phase-1 state shared by every tile in one row-block of
 // the grid (they all see the same input slice, hence the same α, X̂ and
@@ -88,14 +40,14 @@ type inputPrep struct {
 	xs     *tensor.Matrix // tile-unit inputs, kept for bound-management retries
 	alpha  []float32      // per-row input scale; 0 marks a silent row
 	xnorm2 []float64      // per-row ‖x̂‖² for the collapsed read-noise model
-	xhat   *tensor.Matrix // DAC-converted inputs at the first-attempt scales
+	xhat   *tensor.Matrix // DAC-converted inputs at the first-attempt scales (nil without a phase-1 MAC)
 }
 
 // tilePrep is the phase-1 result of one tile: the batched MAC block and,
 // when IR-drop is enabled, the batched column loads. For a SlicedTile the
 // composite keeps one sub-prep per weight slice.
 type tilePrep struct {
-	z    *tensor.Matrix // T×cols MAC x̂·W at the first-attempt scales
+	z    *tensor.Matrix // T×cols MAC x̂·W at the first-attempt scales (nil without a phase-1 MAC)
 	load *tensor.Matrix // T×cols IR-drop column loads (nil unless enabled)
 	subs []tilePrep     // per-slice preps of a SlicedTile composite
 }
@@ -207,12 +159,20 @@ func (b *batchScratch) tilePreps(n int) []tilePrep {
 }
 
 // prepareInputs runs the RNG-free input phase over the T rows of xs: α per
-// row, the shared DAC conversion and ‖x̂‖². Rows with α = 0 are zeroed (they
-// contribute nothing and, matching the scalar path, draw nothing in phase 2).
+// row and, for reads with a phase-1 MAC, the shared DAC conversion and
+// ‖x̂‖². Rows with α = 0 are zeroed (they contribute nothing and draw
+// nothing in phase 2).
 func (t *Tile) prepareInputs(ip *inputPrep, xs *tensor.Matrix, bs *batchScratch) {
 	T := xs.Rows
 	ip.xs = xs
 	ip.alpha = bs.floats(T)
+	if t.drawsBeforeMAC() {
+		ip.xhat, ip.xnorm2 = nil, nil
+		for i := 0; i < T; i++ {
+			ip.alpha[i] = t.rowAlpha(xs.Row(i))
+		}
+		return
+	}
 	ip.xnorm2 = bs.floats64(T)
 	ip.xhat = bs.matrix(T, t.rows)
 	for i := 0; i < T; i++ {
@@ -233,49 +193,28 @@ func (t *Tile) prepareInputs(ip *inputPrep, xs *tensor.Matrix, bs *batchScratch)
 	}
 }
 
-// leaseMAC sizes the tile's phase-1 result matrices from the arena. Not
-// safe for concurrent use (the arena is single-writer); runMAC is.
-func (t *Tile) leaseMAC(p *tilePrep, ip *inputPrep, bs *batchScratch) {
+// runMAC leases the tile's phase-1 result matrices from the arena and runs
+// the blocked MAC into them — with IR-drop, x̂·W and the column load
+// |x̂|·|W| in one fused pass. A read that draws before its MAC has no phase
+// 1 and leases nothing. The serial kernels keep the read allocation-free
+// and bit-identical to the per-row reads of macRow.
+func (t *Tile) runMAC(p *tilePrep, ip *inputPrep, bs *batchScratch) {
+	p.z, p.load = nil, nil
+	if ip.xhat == nil {
+		return
+	}
 	T := ip.xhat.Rows
 	p.z = bs.matrix(T, t.cols)
-	if t.cfg.IRDropScale > 0 {
-		p.load = bs.matrix(T, t.cols)
-	} else {
-		p.load = nil
-	}
-}
-
-// runMAC executes the tile's batched MAC into the leased matrices — with
-// IR-drop, x̂·W and the column load |x̂|·|W| in one fused pass. It touches
-// only p's buffers and read-only tile state, so distinct tiles may run
-// concurrently (SetMACWorkers). The serial kernels keep the path
-// allocation-free and bit-identical to the per-row reads of macRow.
-func (t *Tile) runMAC(p *tilePrep, ip *inputPrep) {
-	if p.load != nil {
-		tensor.MatMulAbsSerialInto(p.z, p.load, ip.xhat, t.wEff, t.absW)
+	if t.cfg.IRDropScale <= 0 {
+		tensor.MatMulSerialInto(p.z, ip.xhat, t.wEff)
 		return
 	}
-	tensor.MatMulSerialInto(p.z, ip.xhat, t.wEff)
+	p.load = bs.matrix(T, t.cols)
+	tensor.MatMulAbsSerialInto(p.z, p.load, ip.xhat, t.wEff, t.absW)
 }
 
-// finishRow runs phase 2 for row i: the stochastic digitize tail over the
-// precomputed MAC row, bound-management retries, and the digital rescale
-// into dst. Must be called in row order with the same r the scalar loop
-// would use — that is what keeps the batch bit-identical.
-func (t *Tile) finishRow(coef float32, dst []float32, ip *inputPrep, p *tilePrep, i int, r *rng.Rand, s *readScratch) {
-	alpha := ip.alpha[i]
-	if alpha == 0 {
-		return
-	}
-	var load []float32
-	if p.load != nil {
-		load = p.load.Row(i)
-	}
-	t.finishRowCore(coef, dst, p.z.Row(i), ip.xnorm2[i], load, ip.xs.Row(i), alpha, r, s)
-}
-
-// mvmBatchInto is the shared standalone batch driver behind
-// (*Tile).MVMBatchInto and (*SlicedTile).MVMBatchInto.
+// mvmBatchInto is the shared standalone read behind (*Tile).MVMBatchInto
+// and (*SlicedTile).MVMBatchInto: the two read phases on one tile.
 func mvmBatchInto(t mvmTile, coef float32, dst, xs *tensor.Matrix, r *rng.Rand) {
 	if xs.Cols != t.Rows() {
 		panic(fmt.Sprintf("analog: MVMBatchInto input width %d, tile rows %d", xs.Cols, t.Rows()))
@@ -285,22 +224,13 @@ func mvmBatchInto(t mvmTile, coef float32, dst, xs *tensor.Matrix, r *rng.Rand) 
 	}
 	s := getScratch()
 	defer putScratch(s)
-	if !t.batchable() {
-		// Pre-MAC draws (bit-serial, input noise): the row loop is the
-		// contract, and trivially bit-identical to itself.
-		for i := 0; i < xs.Rows; i++ {
-			t.MVMRowInto(coef, dst.Row(i), xs.Row(i), r, s)
-		}
-		return
-	}
 	bs := getBatchScratch()
 	defer putBatchScratch(bs)
 	bs.reset()
 	ips := bs.inputPreps(1)
 	preps := bs.tilePreps(1)
 	t.prepareInputs(&ips[0], xs, bs)
-	t.leaseMAC(&preps[0], &ips[0], bs)
-	t.runMAC(&preps[0], &ips[0])
+	t.runMAC(&preps[0], &ips[0], bs)
 	for i := 0; i < xs.Rows; i++ {
 		t.finishRow(coef, dst.Row(i), &ips[0], &preps[0], i, r, s)
 	}
@@ -309,8 +239,7 @@ func mvmBatchInto(t mvmTile, coef float32, dst, xs *tensor.Matrix, r *rng.Rand) 
 // MVMBatchInto performs the analog MVM for all T rows of xs (T×Rows) in one
 // blocked two-phase pass, accumulating coef times row i's result into
 // dst.Row(i) (dst is T×Cols). Results and consumed noise draws are
-// bit-identical to calling MVMRowInto for each row in order; modes that
-// cannot batch (bit-serial, input noise) do exactly that internally.
+// bit-identical to T single-row reads in row order.
 func (t *Tile) MVMBatchInto(coef float32, dst, xs *tensor.Matrix, r *rng.Rand) {
 	mvmBatchInto(t, coef, dst, xs, r)
 }
@@ -319,34 +248,4 @@ func (t *Tile) MVMBatchInto(coef float32, dst, xs *tensor.Matrix, r *rng.Rand) {
 // (*Tile).MVMBatchInto for the contract.
 func (st *SlicedTile) MVMBatchInto(coef float32, dst, xs *tensor.Matrix, r *rng.Rand) {
 	mvmBatchInto(st, coef, dst, xs, r)
-}
-
-// runPanels executes fn(0..n-1) on up to `workers` goroutines, pulling
-// panel indices from a shared counter. workers ≤ 1 runs inline.
-func runPanels(workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

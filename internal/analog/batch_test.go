@@ -2,24 +2,23 @@ package analog
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"nora/internal/rng"
 	"nora/internal/tensor"
 )
 
-// The sequence-batched read path (MVMBatchInto / forwardBatched) promises
-// results BIT-IDENTICAL to the historical row loop for every read mode and
-// every batch size. These tests pin that promise at the tile level (batch
-// vs scalar row loop), at the layer level (batch-size invariance, rescaling
-// on/off), under the opt-in StreamV2 noise stream, and under phase-1 MAC
-// parallelism (run with -race to certify the panel fan-out).
+// The two-phase read (MVMBatchInto / AnalogLinear.forward) promises that a
+// block of T rows reads BIT-IDENTICALLY to T single-row reads in order, for
+// every read mode. These tests pin that promise at the tile level (a block
+// vs T MVMRow calls), at the layer level (how rows are grouped into calls
+// and 64-row chunks, rescaling on/off), and under the opt-in StreamV2
+// noise stream.
 
 // TestMVMBatchIntoMatchesRowLoop drives two identically programmed tiles —
-// one through MVMBatchInto, one through the scalar MVMRowInto loop — with
-// identically seeded noise streams, across every read mode and several
-// batch shapes.
+// one through MVMBatchInto, one through a loop of single-row MVMRow reads —
+// with identically seeded noise streams, across every read mode and several
+// block shapes.
 func TestMVMBatchIntoMatchesRowLoop(t *testing.T) {
 	for name, cfg := range determinismConfigs() {
 		cfg.TileRows, cfg.TileCols = 64, 64
@@ -37,21 +36,23 @@ func TestMVMBatchIntoMatchesRowLoop(t *testing.T) {
 			xs := randMat(uint64(84+rows), rows, 24)
 			got := tensor.New(rows, 18)
 			ta.MVMBatchInto(1, got, xs, ra)
-
-			want := tensor.New(rows, 18)
-			s := getScratch()
-			for i := 0; i < rows; i++ {
-				tb.MVMRowInto(1, want.Row(i), xs.Row(i), rb, s)
-			}
-			putScratch(s)
-			requireBitsEqual(t, name, got, want)
+			requireBitsEqual(t, name, got, rowLoop(tb, xs, rb))
 		}
 	}
 }
 
+// rowLoop reads the rows of xs one MVMRow call at a time, in order.
+func rowLoop(tile mvmTile, xs *tensor.Matrix, r *rng.Rand) *tensor.Matrix {
+	out := tensor.New(xs.Rows, tile.Cols())
+	for i := 0; i < xs.Rows; i++ {
+		copy(out.Row(i), tile.MVMRow(xs.Row(i), r))
+	}
+	return out
+}
+
 // TestMVMBatchIntoSilentRows: rows whose α is zero must contribute nothing
-// and — exactly like the scalar path — consume no noise draws, so the
-// streams of the two paths stay aligned across silent rows.
+// and — exactly like a single-row read of them — consume no noise draws, so
+// the streams of the two reads stay aligned across silent rows.
 func TestMVMBatchIntoSilentRows(t *testing.T) {
 	cfg := determinismConfigs()["paper"]
 	cfg.TileRows, cfg.TileCols = 64, 64
@@ -66,14 +67,7 @@ func TestMVMBatchIntoSilentRows(t *testing.T) {
 	}
 	got := tensor.New(4, 18)
 	ta.MVMBatchInto(1, got, xs, ra)
-
-	want := tensor.New(4, 18)
-	s := getScratch()
-	for i := 0; i < 4; i++ {
-		tb.MVMRowInto(1, want.Row(i), xs.Row(i), rb, s)
-	}
-	putScratch(s)
-	requireBitsEqual(t, "silent-row", got, want)
+	requireBitsEqual(t, "silent-row", got, rowLoop(tb, xs, rb))
 	for j, v := range got.Row(1) {
 		if v != 0 {
 			t.Fatalf("silent row produced non-zero output at col %d: %v", j, v)
@@ -85,11 +79,22 @@ func TestMVMBatchIntoSilentRows(t *testing.T) {
 	}
 }
 
-// TestForwardBatchSizeInvariance pins the layer-level contract: the forward
-// result is bit-identical for the legacy row loop (batch 1) and any batch
-// size, across every read mode, with and without NORA rescaling.
+// forwardInPieces forwards x through l in calls of at most piece rows.
+func forwardInPieces(l *AnalogLinear, x *tensor.Matrix, piece int) *tensor.Matrix {
+	out := tensor.New(x.Rows, l.OutDim())
+	for lo := 0; lo < x.Rows; lo += piece {
+		hi := min(lo+piece, x.Rows)
+		l.ForwardInto(out.SliceRows(lo, hi), x.SliceRows(lo, hi))
+	}
+	return out
+}
+
+// TestForwardBatchSizeInvariance pins the layer-level contract: a block of
+// 2·64+2 rows (three chunks) reads bit-identically whether it arrives as one
+// call, as single-row calls, or in calls that cut the chunks unevenly —
+// across every read mode, with and without NORA rescaling.
 func TestForwardBatchSizeInvariance(t *testing.T) {
-	const in, out, rows = 40, 30, 8
+	const in, out, rows = 40, 30, 2*chunkRows + 2
 	w := randMat(91, in, out)
 	bias := randVec(92, out)
 	sv := randVec(93, in)
@@ -103,36 +108,28 @@ func TestForwardBatchSizeInvariance(t *testing.T) {
 			if rescale {
 				s = sv
 			}
-			ref := NewAnalogLinear("l", w, bias, s, cfg, rng.New(95))
-			ref.SetBatchRows(1) // historical row loop
-			want := ref.Forward(x)
-			for _, batch := range []int{2, 3, rows, 64} {
+			want := forwardInPieces(NewAnalogLinear("l", w, bias, s, cfg, rng.New(95)), x, 1)
+			for _, piece := range []int{3, chunkRows - 1, rows} {
 				l := NewAnalogLinear("l", w, bias, s, cfg, rng.New(95))
-				l.SetBatchRows(batch)
-				requireBitsEqual(t, name, l.Forward(x), want)
+				requireBitsEqual(t, name, forwardInPieces(l, x, piece), want)
 			}
 		}
 	}
 }
 
 // TestForwardStreamV2 pins the StreamV2 contract at the layer level: the
-// batch-size invariance holds under the ziggurat stream too (the two-phase
-// split is draw-order preserving for any sampler), and V2 results actually
-// differ from V1 (the version reaches the noise streams).
+// two-phase read replays the per-tile reference under the ziggurat stream
+// too (the split preserves draw order for any sampler), and V2 results
+// actually differ from V1 (the version reaches the noise streams).
 func TestForwardStreamV2(t *testing.T) {
 	cfg := determinismConfigs()["paper"]
 	cfg.NoiseStream = rng.StreamV2
 	w := randMat(96, 40, 30)
-	x := randMat(97, 6, 40)
+	x := randMat(97, 2*chunkRows+2, 40)
 
-	ref := NewAnalogLinear("l", w, nil, nil, cfg, rng.NewStream(98, rng.StreamV2))
-	ref.SetBatchRows(1)
-	want := ref.Forward(x)
-	for _, batch := range []int{3, 64} {
-		l := NewAnalogLinear("l", w, nil, nil, cfg, rng.NewStream(98, rng.StreamV2))
-		l.SetBatchRows(batch)
-		requireBitsEqual(t, "stream-v2", l.Forward(x), want)
-	}
+	want := forwardReference(NewAnalogLinear("l", w, nil, nil, cfg, rng.NewStream(98, rng.StreamV2)), x)
+	l := NewAnalogLinear("l", w, nil, nil, cfg, rng.NewStream(98, rng.StreamV2))
+	requireBitsEqual(t, "stream-v2", l.Forward(x), want)
 
 	v1cfg := cfg
 	v1cfg.NoiseStream = rng.StreamV1
@@ -147,98 +144,5 @@ func TestForwardStreamV2(t *testing.T) {
 	}
 	if same {
 		t.Fatal("StreamV2 produced the identical output to StreamV1 — version not reaching the noise pipeline")
-	}
-}
-
-// TestForwardBatchedParallelMAC certifies the phase-1 panel fan-out: with
-// MACWorkers > 1 the batched forward must stay bit-identical to the serial
-// result, under concurrent scoped forwards contending on the scratch pools.
-// Run with -race to certify the memory discipline of the panel workers.
-func TestForwardBatchedParallelMAC(t *testing.T) {
-	cfg := determinismConfigs()["paper"] // 16×12 tiles → multi-panel grid
-	w := randMat(101, 40, 30)
-	l := NewAnalogLinear("l", w, nil, nil, cfg, rng.New(102))
-	x := randMat(103, 6, 40)
-
-	labels := []string{"s0", "s1", "s2", "s3"}
-	serial := make([]*tensor.Matrix, len(labels))
-	for i, lb := range labels {
-		serial[i] = l.WithNoiseScope(lb).Forward(x)
-	}
-
-	SetMACWorkers(4)
-	defer SetMACWorkers(0)
-	iters := 16
-	if testing.Short() {
-		iters = 4
-	}
-	errc := make(chan error, len(labels))
-	var wg sync.WaitGroup
-	for i, lb := range labels {
-		wg.Add(1)
-		go func(i int, lb string) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				got := l.WithNoiseScope(lb).Forward(x)
-				for j, v := range got.Data {
-					if math.Float32bits(v) != math.Float32bits(serial[i].Data[j]) {
-						errc <- errMismatch(lb, it, j)
-						return
-					}
-				}
-			}
-		}(i, lb)
-	}
-	wg.Wait()
-	close(errc)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-}
-
-type mismatchError struct {
-	label string
-	iter  int
-	elem  int
-}
-
-func (e mismatchError) Error() string {
-	return "parallel-MAC forward diverged from serial: label=" + e.label
-}
-
-func errMismatch(label string, iter, elem int) error {
-	return mismatchError{label, iter, elem}
-}
-
-// TestBatchKnobs covers the batch-size resolution chain: package default,
-// process override, per-layer override.
-func TestBatchKnobs(t *testing.T) {
-	if BatchRows() != DefaultBatchRows {
-		t.Fatalf("BatchRows() = %d, want DefaultBatchRows", BatchRows())
-	}
-	SetDefaultBatchRows(7)
-	if BatchRows() != 7 {
-		t.Fatalf("BatchRows() after override = %d, want 7", BatchRows())
-	}
-	SetDefaultBatchRows(0)
-	if BatchRows() != DefaultBatchRows {
-		t.Fatalf("BatchRows() after reset = %d, want DefaultBatchRows", BatchRows())
-	}
-
-	cfg := determinismConfigs()["paper"]
-	l := NewAnalogLinear("l", randMat(111, 20, 10), nil, nil, cfg, rng.New(112))
-	if l.effectiveBatchRows() != DefaultBatchRows {
-		t.Fatal("layer should inherit the package default")
-	}
-	l.SetBatchRows(3)
-	if l.effectiveBatchRows() != 3 {
-		t.Fatal("per-layer override not applied")
-	}
-	l.SetBatchRows(0)
-	if l.effectiveBatchRows() != DefaultBatchRows {
-		t.Fatal("per-layer reset not applied")
-	}
-	if MACWorkers() != 1 {
-		t.Fatalf("MACWorkers() default = %d, want 1", MACWorkers())
 	}
 }

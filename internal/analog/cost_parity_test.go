@@ -8,11 +8,9 @@ import (
 )
 
 // The cost engine's counters must be path-invariant: pricing an eval pass
-// may never depend on whether the deployment ran the historical row loop or
-// the batched read path, nor on the MAC worker count. These tests pin that
-// the OpCounters totals (including bound-management retries) are identical
-// for MVMRow-loop and MVMBatchInto execution across batch sizes and worker
-// counts.
+// may never depend on how rows were grouped into a read. These tests pin
+// that the OpCounters totals (including bound-management retries) of the
+// two-phase read equal those of single-row reads, tile by tile.
 
 // costParityConfigs is the determinism matrix plus a tight-ADC-bound
 // variant that forces bound-management retries, so BMRetries parity is
@@ -26,13 +24,12 @@ func costParityConfigs() map[string]Config {
 	return cfgs
 }
 
-// TestCostCountersBatchParity runs the same forward workload through the
-// legacy row loop (batch 1) and through MVMBatchInto at several batch sizes
-// and MAC worker counts, and requires identical layer counter totals (and,
-// as a sanity anchor, bit-identical outputs).
+// TestCostCountersBatchParity runs the same forward workload — 2·64+2 rows,
+// three chunks — through the layer and through forwardReference (per-tile
+// single-row reads), and requires identical layer counter totals (and, as a
+// sanity anchor, bit-identical outputs).
 func TestCostCountersBatchParity(t *testing.T) {
-	defer SetMACWorkers(0)
-	const in, out, rows = 40, 30, 7
+	const in, out, rows = 40, 30, 2*chunkRows + 2
 	w := randMat(771, in, out)
 	bias := randVec(772, out)
 	x := randMat(773, rows, in)
@@ -40,32 +37,24 @@ func TestCostCountersBatchParity(t *testing.T) {
 	sawRetries := false
 	for name, cfg := range costParityConfigs() {
 		ref := NewAnalogLinear("l", w, bias, nil, cfg, rng.New(774))
-		ref.SetBatchRows(1) // historical row loop
-		want := ref.Forward(x)
+		want := forwardReference(ref, x)
 		wantC := ref.CostCounters()
 		if wantC.MVMs == 0 || wantC.DACConvs == 0 || wantC.ADCConvs == 0 || wantC.CellReads == 0 {
-			t.Fatalf("%s: row loop recorded no events: %+v", name, wantC)
+			t.Fatalf("%s: reference recorded no events: %+v", name, wantC)
 		}
 		if wantC.BMRetries > 0 {
 			sawRetries = true
 		}
-		for _, batch := range []int{2, 3, rows, 64} {
-			for _, workers := range []int{1, 4} {
-				SetMACWorkers(workers)
-				l := NewAnalogLinear("l", w, bias, nil, cfg, rng.New(774))
-				l.SetBatchRows(batch)
-				requireBitsEqual(t, name, l.Forward(x), want)
-				if got := l.CostCounters(); got != wantC {
-					t.Errorf("%s: batch=%d workers=%d counters diverged:\n  batch: %+v\n  row:   %+v",
-						name, batch, workers, got, wantC)
-				}
-				if got, w := l.RowsProcessed(), ref.RowsProcessed(); got != w {
-					t.Errorf("%s: batch=%d workers=%d rows processed %d, row loop %d", name, batch, workers, got, w)
-				}
-				if got, w := l.DigitalEquivalentMACs(), ref.DigitalEquivalentMACs(); got != w {
-					t.Errorf("%s: batch=%d workers=%d MAC equivalent %d, row loop %d", name, batch, workers, got, w)
-				}
-			}
+		l := NewAnalogLinear("l", w, bias, nil, cfg, rng.New(774))
+		requireBitsEqual(t, name, l.Forward(x), want)
+		if got := l.CostCounters(); got != wantC {
+			t.Errorf("%s: counters diverged:\n  layer:     %+v\n  reference: %+v", name, got, wantC)
+		}
+		if got := l.RowsProcessed(); got != rows {
+			t.Errorf("%s: rows processed %d, want %d", name, got, rows)
+		}
+		if got, w := l.DigitalEquivalentMACs(), int64(rows*in*out); got != w {
+			t.Errorf("%s: MAC equivalent %d, want %d", name, got, w)
 		}
 	}
 	if !sawRetries {
@@ -74,7 +63,7 @@ func TestCostCountersBatchParity(t *testing.T) {
 }
 
 // TestCostCountersTileParity pins the same invariant one level down, at the
-// tile: a batched read and an equivalent scalar row loop on identically
+// tile: a block read and a loop of single-row MVMRow reads on identically
 // programmed tiles record identical counters.
 func TestCostCountersTileParity(t *testing.T) {
 	for name, cfg := range costParityConfigs() {
@@ -91,16 +80,9 @@ func TestCostCountersTileParity(t *testing.T) {
 		xs := randMat(784, rows, 24)
 		got := tensor.New(rows, 18)
 		ta.MVMBatchInto(1, got, xs, ra)
-
-		want := tensor.New(rows, 18)
-		s := getScratch()
-		for i := 0; i < rows; i++ {
-			tb.MVMRowInto(1, want.Row(i), xs.Row(i), rb, s)
-		}
-		putScratch(s)
-		requireBitsEqual(t, name, got, want)
+		requireBitsEqual(t, name, got, rowLoop(tb, xs, rb))
 		if ca, cb := ta.Counters().Snapshot(), tb.Counters().Snapshot(); ca != cb {
-			t.Errorf("%s: tile counters diverged:\n  batch: %+v\n  row:   %+v", name, ca, cb)
+			t.Errorf("%s: tile counters diverged:\n  block: %+v\n  rows:  %+v", name, ca, cb)
 		}
 	}
 }

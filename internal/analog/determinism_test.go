@@ -29,6 +29,8 @@ func determinismConfigs() map[string]Config {
 	noBM.BoundManagement = false
 	bits := small(PaperPreset())
 	bits.BitSerial = true
+	inNoise := small(PaperPreset())
+	inNoise.InNoise = 0.02
 	sliced := small(PaperPreset())
 	sliced.WeightSlices = 2
 	faulty := small(PaperPreset())
@@ -42,6 +44,7 @@ func determinismConfigs() map[string]Config {
 		"paper":     paper,
 		"no-bm":     noBM,
 		"bitserial": bits,
+		"innoise":   inNoise,
 		"sliced":    sliced,
 		"faulty":    faulty,
 	}
@@ -117,7 +120,10 @@ func TestForwardBitIdenticalToPerTileReference(t *testing.T) {
 	}
 }
 
-func TestMVMRowIntoMatchesMVMRow(t *testing.T) {
+// TestMVMBatchIntoAccumulatesLikeMVMRow pins the accumulate contract: a
+// read into a pre-filled dst adds exactly what MVMRow returns for the same
+// row and stream, with the same float32 rounding as base + y.
+func TestMVMBatchIntoAccumulatesLikeMVMRow(t *testing.T) {
 	for name, cfg := range determinismConfigs() {
 		cfg.TileRows, cfg.TileCols = 64, 64
 		w := randMat(21, 24, 18)
@@ -134,14 +140,12 @@ func TestMVMRowIntoMatchesMVMRow(t *testing.T) {
 		ra, rb := rng.New(5), rng.New(5)
 
 		z := ta.MVMRow(x, ra)
-		dst := append([]float32(nil), base...)
-		s := getScratch()
-		tb.MVMRowInto(1, dst, x, rb, s)
-		putScratch(s)
-		for j := range dst {
+		dst := tensor.FromSlice(1, 18, append([]float32(nil), base...))
+		tb.MVMBatchInto(1, dst, tensor.FromSlice(1, 24, x), rb)
+		for j, v := range dst.Data {
 			want := base[j] + z[j]
-			if math.Float32bits(dst[j]) != math.Float32bits(want) {
-				t.Fatalf("%s: MVMRowInto[%d] = %v, MVMRow accumulation = %v", name, j, dst[j], want)
+			if math.Float32bits(v) != math.Float32bits(want) {
+				t.Fatalf("%s: MVMBatchInto[%d] = %v, MVMRow accumulation = %v", name, j, v, want)
 			}
 		}
 	}

@@ -33,8 +33,6 @@ type AnalogLinear struct {
 	colOff []int // tile-grid column boundaries
 	tiles  [][]mvmTile
 
-	batchRows int // per-layer batch-size override; 0 = package default
-
 	noise     *rng.Rand // runtime read-noise stream (un-scoped Forward calls)
 	scopeRoot *rng.Rand // never advanced; WithNoiseScope splits labels off it
 
@@ -160,39 +158,9 @@ func (l *AnalogLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// SetBatchRows installs a per-layer batch-size override for the sequence-
-// batched forward path: n ≥ 2 batches n activation rows per pass, n == 1
-// forces the row-at-a-time legacy loop, n ≤ 0 reverts to the process-wide
-// BatchRows() default. Batch size never changes results — the batched path
-// is bit-identical to the row loop — so this is purely a performance knob.
-func (l *AnalogLinear) SetBatchRows(n int) {
-	if n < 0 {
-		n = 0
-	}
-	l.batchRows = n
-}
-
-// effectiveBatchRows resolves the layer's batch size against the package
-// default.
-func (l *AnalogLinear) effectiveBatchRows() int {
-	if l.batchRows > 0 {
-		return l.batchRows
-	}
-	return BatchRows()
-}
-
-// gridBatchable reports whether the tile grid supports the two-phase
-// batched read (all tiles share one Config, so the first tile decides).
-func (l *AnalogLinear) gridBatchable() bool {
-	return len(l.tiles) > 0 && len(l.tiles[0]) > 0 && l.tiles[0][0].batchable()
-}
-
 // ForwardInto is the zero-allocation forward pass: it overwrites out
-// (x.Rows × OutDim) with the layer result. When the configuration allows it
-// and the effective batch size is ≥ 2, rows stream through the two-phase
-// sequence-batched path (forwardBatched); otherwise through the historical
-// row loop (forwardRows). Both orders consume the layer's noise stream
-// identically, so the choice never changes results — only throughput.
+// (x.Rows × OutDim) with the layer result, read from the layer's noise
+// stream.
 func (l *AnalogLinear) ForwardInto(out, x *tensor.Matrix) {
 	if x.Cols != l.in {
 		panic(fmt.Sprintf("analog: %s: input width %d, expected %d", l.name, x.Cols, l.in))
@@ -201,11 +169,7 @@ func (l *AnalogLinear) ForwardInto(out, x *tensor.Matrix) {
 		panic(fmt.Sprintf("analog: %s: output %dx%d, expected %dx%d", l.name, out.Rows, out.Cols, x.Rows, l.out))
 	}
 	l.rowsProcessed.Add(int64(x.Rows))
-	if b := l.effectiveBatchRows(); b > 1 && l.gridBatchable() {
-		l.forwardBatched(out, x, b, nil)
-		return
-	}
-	l.forwardRows(out, x, nil)
+	l.forward(out, x, nil)
 }
 
 // randsPool recycles the per-row stream slice of ForwardIntoRowScoped so the
@@ -243,63 +207,19 @@ func (l *AnalogLinear) ForwardIntoRowScoped(out, x *tensor.Matrix, scopes []nn.L
 	*np = noises
 	defer randsPool.Put(np)
 	l.rowsProcessed.Add(int64(x.Rows))
-	if b := l.effectiveBatchRows(); b > 1 && l.gridBatchable() {
-		l.forwardBatched(out, x, b, noises)
-		return
-	}
-	l.forwardRows(out, x, noises)
+	l.forward(out, x, noises)
 }
 
-// forwardRows is the historical row-at-a-time read loop: one scratch is
-// leased from the pool for the whole call — every tile read reuses its
-// buffers, any NORA rescaling is applied row-by-row into scratch instead of
-// materializing a scaled copy of x, and partial sums accumulate directly
-// into out's rows. noises, when non-nil, holds a per-row noise stream
-// (ForwardIntoRowScoped); nil reads every row from the layer stream.
-func (l *AnalogLinear) forwardRows(out, x *tensor.Matrix, noises []*rng.Rand) {
-	s := getScratch()
-	defer putScratch(s)
-	for i := 0; i < x.Rows; i++ {
-		r := l.noise
-		if noises != nil {
-			r = noises[i]
-		}
-		row := x.Row(i)
-		if l.invS != nil {
-			xr := grow(&s.xrow, l.in)
-			for k, v := range row {
-				xr[k] = v * l.invS[k]
-			}
-			row = xr
-		}
-		orow := out.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for rb := 0; rb+1 < len(l.rowOff); rb++ {
-			slice := row[l.rowOff[rb]:l.rowOff[rb+1]]
-			for cb := 0; cb+1 < len(l.colOff); cb++ {
-				l.tiles[rb][cb].MVMRowInto(1, orow[l.colOff[cb]:l.colOff[cb+1]], slice, r, s)
-			}
-		}
-	}
-	if l.bias != nil {
-		out.AddRowVecInPlace(l.bias)
-	}
-}
-
-// forwardBatched streams x through the grid in chunks of up to `batch` rows
-// using the two-phase read (batch.go): phase 1 computes every tile's blocked
-// MAC for the whole chunk with zero RNG draws; phase 2 walks the chunk's
-// rows in order and digitizes each tile in the historical (row-block,
-// column-block) order. Because phase 1 is deterministic and phase 2 consumes
-// the noise stream exactly as the row loop would, the result is bit-identical
-// to forwardRows for every chunk size. With MACWorkers() > 1, phase 1 fans
-// tile panels out across goroutines — also without changing results, since
-// panels write disjoint buffers and draw nothing. noises, when non-nil,
-// digitizes row i under its own stream (ForwardIntoRowScoped): phase 2 then
-// consumes each stream exactly as a single-row call on that scope would.
-func (l *AnalogLinear) forwardBatched(out, x *tensor.Matrix, batch int, noises []*rng.Rand) {
+// forward is the layer's one read loop. It streams x through the grid in
+// chunks of up to chunkRows rows using the two-phase read (batch.go):
+// phase 1 computes every tile's blocked MAC for the whole chunk with zero
+// RNG draws; phase 2 walks the chunk's rows in order and finishes each tile
+// in (row-block, column-block) order. Phase 2 consumes the noise stream in
+// the same order for any chunking, so a chunk of T rows reads exactly like
+// T single-row calls. noises, when non-nil, finishes row i under its own
+// stream (ForwardIntoRowScoped): each stream is then consumed exactly as a
+// single-row call on that scope would consume it.
+func (l *AnalogLinear) forward(out, x *tensor.Matrix, noises []*rng.Rand) {
 	s := getScratch()
 	defer putScratch(s)
 	bs := getBatchScratch()
@@ -308,9 +228,8 @@ func (l *AnalogLinear) forwardBatched(out, x *tensor.Matrix, batch int, noises [
 	ncb := len(l.colOff) - 1
 	ips := bs.inputPreps(nrb)
 	preps := bs.tilePreps(nrb * ncb)
-	workers := MACWorkers()
-	for lo := 0; lo < x.Rows; lo += batch {
-		hi := lo + batch
+	for lo := 0; lo < x.Rows; lo += chunkRows {
+		hi := lo + chunkRows
 		if hi > x.Rows {
 			hi = x.Rows
 		}
@@ -344,22 +263,11 @@ func (l *AnalogLinear) forwardBatched(out, x *tensor.Matrix, batch int, noises [
 				}
 			}
 			// All tiles in a row block share Config and input width, so one
-			// input prep (α, X̂, ‖x̂‖², |x̂|) serves the whole block.
+			// input prep (α, X̂, ‖x̂‖²) serves the whole block.
 			l.tiles[rb][0].prepareInputs(&ips[rb], xsub, bs)
 			for cb := 0; cb < ncb; cb++ {
-				l.tiles[rb][cb].leaseMAC(&preps[rb*ncb+cb], &ips[rb], bs)
+				l.tiles[rb][cb].runMAC(&preps[rb*ncb+cb], &ips[rb], bs)
 			}
-		}
-		if workers <= 1 {
-			// Inline loop (no closure, no goroutines): the allocation-free
-			// default.
-			for p := 0; p < nrb*ncb; p++ {
-				l.tiles[p/ncb][p%ncb].runMAC(&preps[p], &ips[p/ncb])
-			}
-		} else {
-			runPanels(workers, nrb*ncb, func(p int) {
-				l.tiles[p/ncb][p%ncb].runMAC(&preps[p], &ips[p/ncb])
-			})
 		}
 		for i := 0; i < T; i++ {
 			r := l.noise

@@ -13,8 +13,8 @@ import (
 // BIT-IDENTICAL to a single-row ForwardInto on scopes[i] — the property
 // that lets a continuous-batching decode step share one blocked MAC across
 // requests without entangling their noise streams. Pinned here across every
-// read mode (including the non-batchable bit-serial fallback), with
-// rescaling, bias, and multi-tile grids in play.
+// read mode (including the bit-serial and input-noise reads, which have no
+// phase-1 MAC), with rescaling, bias, and multi-tile grids in play.
 func TestForwardIntoRowScopedMatchesPerScopeRows(t *testing.T) {
 	const in, out, rows = 40, 30, 5
 	w := randMat(301, in, out)

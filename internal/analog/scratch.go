@@ -22,7 +22,6 @@ type readScratch struct {
 	z     []float32 // post-ADC column outputs of one MVM
 	zb    []float32 // per-plane outputs shift-added into z (bit-serial)
 	load  []float32 // IR-drop column load
-	xrow  []float32 // rescaled input row (AnalogLinear with NORA s)
 	comp  []float32 // shift-added composite of a SlicedTile read
 	norm  []float32 // normals a programming loop draws in one FillNormal
 }

@@ -9,16 +9,13 @@ import (
 )
 
 // mvmTile is the tile abstraction AnalogLinear drives: a plain crossbar
-// (Tile) or a bit-sliced composite (SlicedTile). MVMRowInto is the
-// zero-allocation scalar hot path (dst[j] += coef·y_j with pooled scratch);
-// MVMRow is its allocating convenience wrapper; MVMBatchInto is the
-// sequence-batched read (bit-identical to the row loop). The unexported
-// prepareInputs/leaseMAC/runMAC/finishRow quartet exposes the two batch
-// phases individually so AnalogLinear can interleave them across the tile
-// grid in the historical row-then-tile order (see batch.go).
+// (Tile) or a bit-sliced composite (SlicedTile). MVMBatchInto reads a block
+// of rows; MVMRow is its allocating single-row wrapper. The unexported
+// prepareInputs/runMAC/finishRow trio exposes the two read phases
+// individually so AnalogLinear can interleave them across the tile grid in
+// row-then-tile order (see batch.go).
 type mvmTile interface {
 	MVMRow(xs []float32, r *rng.Rand) []float32
-	MVMRowInto(coef float32, dst, xs []float32, r *rng.Rand, s *readScratch)
 	MVMBatchInto(coef float32, dst, xs *tensor.Matrix, r *rng.Rand)
 	ColScales() []float32
 	SetTime(tSec float64)
@@ -28,10 +25,8 @@ type mvmTile interface {
 	Rows() int
 	Cols() int
 
-	batchable() bool
 	prepareInputs(ip *inputPrep, xs *tensor.Matrix, bs *batchScratch)
-	leaseMAC(p *tilePrep, ip *inputPrep, bs *batchScratch)
-	runMAC(p *tilePrep, ip *inputPrep)
+	runMAC(p *tilePrep, ip *inputPrep, bs *batchScratch)
 	finishRow(coef float32, dst []float32, ip *inputPrep, p *tilePrep, i int, r *rng.Rand, s *readScratch)
 }
 
@@ -156,39 +151,14 @@ func (st *SlicedTile) ResetCounters() {
 }
 
 // MVMRow runs the input through every slice and shift-adds the digitized
-// partial results: y = Σ_s b^s · y_s. Like (*Tile).MVMRow it routes through
-// the batched path at T = 1 so every read shares one code path.
+// partial results: y = Σ_s b^s · y_s. Like (*Tile).MVMRow it is the
+// MVMBatchInto read at T = 1.
 func (st *SlicedTile) MVMRow(xs []float32, r *rng.Rand) []float32 {
 	out := tensor.New(1, st.cols)
 	xm := &tensor.Matrix{Rows: 1, Cols: len(xs), Data: xs}
 	st.MVMBatchInto(1, out, xm, r)
 	return out.Data
 }
-
-// MVMRowInto accumulates coef times the shift-added composite result into
-// dst without allocating. The composite y = Σ_s b^s·y_s is built in a
-// scratch buffer first and added to dst in one pass — NOT folded slice by
-// slice directly into dst, which would re-associate the float32 sums
-// against partial results already accumulated there and break bit-identity
-// with the historical MVMRow+Axpy path.
-func (st *SlicedTile) MVMRowInto(coef float32, dst, xs []float32, r *rng.Rand, s *readScratch) {
-	comp := grow(&s.comp, len(dst))
-	for j := range comp {
-		comp[j] = 0
-	}
-	pow := float32(1)
-	for _, sl := range st.slices {
-		sl.MVMRowInto(pow, comp, xs, r, s)
-		pow *= float32(st.radix)
-	}
-	for j, v := range comp {
-		dst[j] += coef * v
-	}
-}
-
-// batchable reports whether the composite can take the two-phase batched
-// read path; slices share one Config, so the first slice decides.
-func (st *SlicedTile) batchable() bool { return st.slices[0].batchable() }
 
 // prepareInputs delegates to the first slice: every slice shares the tile
 // Config and input width, so α, X̂ and ‖x̂‖² are identical across slices and
@@ -197,8 +167,8 @@ func (st *SlicedTile) prepareInputs(ip *inputPrep, xs *tensor.Matrix, bs *batchS
 	st.slices[0].prepareInputs(ip, xs, bs)
 }
 
-// leaseMAC sizes one sub-prep per weight slice from the arena (serial).
-func (st *SlicedTile) leaseMAC(p *tilePrep, ip *inputPrep, bs *batchScratch) {
+// runMAC runs every slice's phase-1 MAC into one sub-prep per slice.
+func (st *SlicedTile) runMAC(p *tilePrep, ip *inputPrep, bs *batchScratch) {
 	if cap(p.subs) < len(st.slices) {
 		subs := make([]tilePrep, len(st.slices))
 		copy(subs, p.subs)
@@ -206,23 +176,16 @@ func (st *SlicedTile) leaseMAC(p *tilePrep, ip *inputPrep, bs *batchScratch) {
 	}
 	p.subs = p.subs[:len(st.slices)]
 	for k, sl := range st.slices {
-		sl.leaseMAC(&p.subs[k], ip, bs)
+		sl.runMAC(&p.subs[k], ip, bs)
 	}
 	p.z, p.load = nil, nil
 }
 
-// runMAC executes every slice's batched MACs (safe to run concurrently with
-// other tiles' runMAC calls — all writes land in this prep's buffers).
-func (st *SlicedTile) runMAC(p *tilePrep, ip *inputPrep) {
-	for k, sl := range st.slices {
-		sl.runMAC(&p.subs[k], ip)
-	}
-}
-
-// finishRow digitizes row i of every slice in slice order — consuming noise
-// draws exactly as the scalar MVMRowInto loop — and shift-adds the composite
-// into dst via the same scratch-then-add pass that keeps float32 association
-// identical to the historical path.
+// finishRow digitizes row i of every slice in slice order and shift-adds
+// the composite into dst. The composite y = Σ_s b^s·y_s is built in a
+// scratch buffer first and added to dst in one pass — NOT folded slice by
+// slice directly into dst, which would re-associate the float32 sums
+// against partial results already accumulated there.
 func (st *SlicedTile) finishRow(coef float32, dst []float32, ip *inputPrep, p *tilePrep, i int, r *rng.Rand, s *readScratch) {
 	comp := grow(&s.comp, len(dst))
 	for j := range comp {

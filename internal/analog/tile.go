@@ -407,10 +407,8 @@ func (t *Tile) ensureAbsW() {
 // vector), and the result approximates xsᵀ·W_slice in the original scale.
 // r drives every stochastic noise source of this read.
 //
-// MVMRow is the allocating convenience wrapper; it routes through
-// MVMBatchInto with a single-row batch, so the batch machinery and the
-// scalar loop are one code path (and permanently cross-checked by the
-// MVMRow-vs-MVMRowInto determinism tests).
+// MVMRow is the allocating single-row wrapper over MVMBatchInto: the same
+// read at T = 1.
 func (t *Tile) MVMRow(xs []float32, r *rng.Rand) []float32 {
 	out := tensor.New(1, t.cols)
 	xm := &tensor.Matrix{Rows: 1, Cols: len(xs), Data: xs}
@@ -432,8 +430,8 @@ func (t *Tile) rowAlpha(xs []float32) float32 {
 }
 
 // quantizeRowInto fills xhat with the DAC conversion of xs at input scale
-// `scale` — the single f_dac implementation shared by the scalar, batched
-// and bound-management-retry paths.
+// `scale` — the single f_dac implementation shared by phase 1 and the
+// complete reads of finishRow.
 func (t *Tile) quantizeRowInto(xhat, xs []float32, scale float32) {
 	if inv := t.invInSteps; inv != 0 {
 		// Power-of-two step count: replace quantizeUnit's final
@@ -446,126 +444,63 @@ func (t *Tile) quantizeRowInto(xhat, xs []float32, scale float32) {
 	}
 }
 
-// batchable reports whether reads of this tile may be batched across rows:
-// the batch path computes all MACs up front and fills noise per row
-// afterwards, which preserves the historical draw order only when no
-// stochastic draw happens before the MAC. Bit-serial streaming and additive
-// input noise both draw pre-MAC, so they fall back to the row loop.
-func (t *Tile) batchable() bool {
-	return !t.cfg.BitSerial && t.cfg.InNoise == 0
+// drawsBeforeMAC reports whether a read draws noise before its crossbar
+// MAC: bit-serial pulse planes and additive input noise do. Such reads get
+// no phase-1 MAC; finishRow runs each of their attempts as a complete read.
+func (t *Tile) drawsBeforeMAC() bool {
+	return t.cfg.BitSerial || t.cfg.InNoise > 0
 }
 
-// MVMRowInto accumulates coef times the analog MVM result into dst
-// (dst[j] += coef·y_j, len(dst) = Cols), drawing every transient buffer
-// from s — zero heap allocations in steady state. coef folds the caller's
-// digital shift-add weight (1 for a plain layer, the slice radix power for
-// SlicedTile) into the final rescale loop; the RNG draw order and all
-// floating-point accumulation orders are identical to the historical
-// allocating implementation, so results are bit-identical.
-func (t *Tile) MVMRowInto(coef float32, dst, xs []float32, r *rng.Rand, s *readScratch) {
-	if len(xs) != t.rows {
-		panic(fmt.Sprintf("analog: MVMRow input len %d, tile rows %d", len(xs), t.rows))
-	}
-	if len(dst) != t.cols {
-		panic(fmt.Sprintf("analog: MVMRowInto dst len %d, tile cols %d", len(dst), t.cols))
-	}
-	alpha := t.rowAlpha(xs)
-	if alpha == 0 {
+// finishRow runs phase 2 for row i and accumulates coef times the result
+// into dst (dst[j] += coef·y_j, len(dst) = Cols): each bound-management
+// attempt, the digital rescale and the event counters. Attempt 0 digitizes
+// the phase-1 MAC row when there is one; otherwise, and on every retry at
+// the doubled scale, the attempt is a complete read: DAC conversion, input
+// noise and the crossbar read, or the bit-serial plane reads. coef folds a
+// caller's digital shift-add weight (the slice radix power for SlicedTile)
+// into the rescale. Rows must be finished in order with the caller's noise
+// stream r — the draw order is the bit-exactness contract.
+func (t *Tile) finishRow(coef float32, dst []float32, ip *inputPrep, p *tilePrep, i int, r *rng.Rand, s *readScratch) {
+	scale := ip.alpha[i]
+	if scale == 0 {
 		return
 	}
-	if !t.batchable() {
-		t.mvmRowNoisy(coef, dst, xs, alpha, r, s)
-		return
-	}
-	// Voltage-mode read without input noise: compute the first-attempt MAC
-	// here and hand the stochastic tail to finishRowCore — the same tail
-	// the batched path drives with precomputed MACs.
-	xhat := grow(&s.xhat, t.rows)
-	t.quantizeRowInto(xhat, xs, alpha)
-	z := grow(&s.z, t.cols)
-	load := t.macRow(z, xhat, s)
-	var xnorm2 float64
-	if t.wReadSigma > 0 {
-		xnorm2 = norm2(xhat)
-	}
-	t.finishRowCore(coef, dst, z, xnorm2, load, xs, alpha, r, s)
-}
-
-// mvmRowNoisy is the historical per-row read loop for the modes the batch
-// path cannot cover (bit-serial streaming, additive input noise): every
-// bound-management attempt re-quantizes, draws and reads in sequence.
-func (t *Tile) mvmRowNoisy(coef float32, dst, xs []float32, alpha float32, r *rng.Rand, s *readScratch) {
 	cfg := &t.cfg
 	maxIter := 1
 	if cfg.BoundManagement {
 		maxIter += cfg.BMMaxIter
 	}
-	z := grow(&s.z, t.cols)
-	scale := alpha
 	attempts, reads := 0, 0
 	for iter := 0; iter < maxIter; iter++ {
 		attempts++
+		var z []float32
 		var saturated bool
-		if cfg.BitSerial {
-			saturated = t.bitSerialReadInto(z, xs, scale, r, s)
+		switch {
+		case iter == 0 && p.z != nil:
+			z = p.z.Row(i)
+			var load []float32
+			if p.load != nil {
+				load = p.load.Row(i)
+			}
+			saturated = t.digitizeRow(z, ip.xnorm2[i], load, r)
+			reads++
+		case cfg.BitSerial:
+			z = grow(&s.z, t.cols)
+			saturated = t.bitSerialReadInto(z, ip.xs.Row(i), scale, r, s)
 			reads += t.bitPlanes()
-		} else {
-			// DAC conversion and additive input noise (Eq. 5). xhat is
-			// leased lazily so the bit-serial path never touches it.
+		default:
+			// DAC conversion and additive input noise (Eq. 5).
 			xhat := grow(&s.xhat, t.rows)
-			t.quantizeRowInto(xhat, xs, scale)
+			t.quantizeRowInto(xhat, ip.xs.Row(i), scale)
 			if cfg.InNoise > 0 {
 				r.FillNormalAdd(xhat, cfg.InNoise)
 			}
+			z = grow(&s.z, t.cols)
 			saturated = t.analogReadInto(z, xhat, r, s)
 			reads++
 		}
 
 		// Bound management: on saturation, retry with inputs halved.
-		if saturated && cfg.BoundManagement && iter < maxIter-1 {
-			scale *= 2
-			continue
-		}
-
-		// Digital rescale by α·γ_j·g_max (Eq. 3).
-		for j := range z {
-			dst[j] += coef * (scale * t.colScale[j] * z[j] * t.driftComp)
-		}
-		break
-	}
-	t.recordMVM(attempts, reads)
-}
-
-// finishRowCore runs the stochastic tail of one MVM row whose first-attempt
-// MAC (z, with its ‖x̂‖² and IR-drop column load) is already computed:
-// digitize, bound-management retries (each a full scalar re-read at the
-// doubled scale), the digital rescale into dst, and the event counters.
-// It is the single bound-management/rescale implementation behind both the
-// scalar path (MVMRowInto computes the MAC inline) and the batched path
-// (finishRow hands in one row of the phase-1 MAC block).
-func (t *Tile) finishRowCore(coef float32, dst, z []float32, xnorm2 float64, load, xs []float32, alpha float32, r *rng.Rand, s *readScratch) {
-	cfg := &t.cfg
-	maxIter := 1
-	if cfg.BoundManagement {
-		maxIter += cfg.BMMaxIter
-	}
-	scale := alpha
-	attempts, reads := 0, 0
-	for iter := 0; iter < maxIter; iter++ {
-		attempts++
-		var saturated bool
-		if iter == 0 {
-			saturated = t.digitizeRow(z, xnorm2, load, r)
-		} else {
-			// Retry at the doubled scale: re-quantize and run a complete
-			// scalar read — exactly what the historical loop did.
-			xhat := grow(&s.xhat, t.rows)
-			t.quantizeRowInto(xhat, xs, scale)
-			z = grow(&s.z, t.cols)
-			saturated = t.analogReadInto(z, xhat, r, s)
-		}
-		reads++
-
 		if saturated && cfg.BoundManagement && iter < maxIter-1 {
 			scale *= 2
 			continue

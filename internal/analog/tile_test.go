@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"nora/internal/nn"
 	"nora/internal/rng"
 	"nora/internal/stats"
 	"nora/internal/tensor"
@@ -481,7 +484,9 @@ func readInputs(kind string, seed uint64, T, width, cut int) *tensor.Matrix {
 // IR-drop on and off, bound management that retries and none, rescaled and
 // outlier-heavy inputs with silent rows, T ∈ {1, 3, 64}, read through a
 // 37×29 tile and a sliced tile (MVMBatchInto) and through a 2×2 tile grid
-// with and without a NORA vector installed (AnalogLinear.ForwardInto).
+// with and without a NORA vector installed (AnalogLinear.ForwardInto). A
+// second digest, layerDigest, pins the layer reads of every read mode
+// (layerReadDigest).
 func TestTileReadDigest(t *testing.T) {
 	h := fnv.New64a()
 	var word [4]byte
@@ -546,4 +551,86 @@ func TestTileReadDigest(t *testing.T) {
 	if got := h.Sum64(); got != readDigest {
 		t.Fatalf("read digest = %#x, want %#x", got, uint64(readDigest))
 	}
+	if got := layerReadDigest(t); got != layerDigest {
+		t.Fatalf("layer digest = %#x, want %#x", got, uint64(layerDigest))
+	}
+}
+
+// layerDigest is the FNV-1a digest layerReadDigest computes. It was fixed
+// while AnalogLinear still had a row-at-a-time read loop beside the
+// batched one, and three read schedules gave it: the row loop, 64-row
+// chunks, and 7-row chunks with the phase-1 MACs on three goroutines.
+const layerDigest = 0x1ef25a2dbb870319
+
+// layerReadDigest hashes what AnalogLinear returns in every read mode of
+// determinismConfigs, plus a tight-OutBound variant of the paper,
+// bit-serial, input-noise and sliced modes that forces bound-management
+// retries. It covers ForwardInto and ForwardIntoRowScoped outputs and the
+// layer's event counters, with and without a NORA vector. T ∈ {1, 3,
+// 2·64+2}: the longest block crosses two 64-row chunk boundaries. Row 1 is
+// silent, and row 2 is silent over the first row block's channels. The
+// row-scoped read cycles three scopes, so one stream serves several rows
+// of a block. Every tight arm must retry.
+func layerReadDigest(t *testing.T) uint64 {
+	h := fnv.New64a()
+	var word [8]byte
+	put := func(m *tensor.Matrix) {
+		for _, x := range m.Data {
+			binary.LittleEndian.PutUint32(word[:4], math.Float32bits(x))
+			h.Write(word[:4])
+		}
+	}
+	putCounters := func(c OpCounters) {
+		for _, v := range []int64{c.MVMs, c.DACConvs, c.ADCConvs, c.CellReads, c.BMRetries} {
+			binary.LittleEndian.PutUint64(word[:], uint64(v))
+			h.Write(word[:])
+		}
+	}
+	cfgs := determinismConfigs()
+	for _, name := range []string{"paper", "bitserial", "innoise", "sliced"} {
+		c := cfgs[name]
+		c.OutBound = 0.5
+		c.BMMaxIter = 3
+		cfgs[name+"-tight"] = c
+	}
+	names := make([]string, 0, len(cfgs))
+	for name := range cfgs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	const in, out = 40, 30 // a 3×3 grid of 16×12 tiles
+	w := randMat(201, in, out)
+	bias := randVec(202, out)
+	sv := randVec(203, in)
+	for k := range sv {
+		sv[k] = 0.5 + sv[k]*sv[k]
+	}
+	for _, name := range names {
+		for _, rescale := range []bool{false, true} {
+			var s []float32
+			if rescale {
+				s = sv
+			}
+			l := NewAnalogLinear("l", w, bias, s, cfgs[name], rng.New(204))
+			views := []nn.LinearOp{l.WithNoiseScope("a"), l.WithNoiseScope("b"), l.WithNoiseScope("c")}
+			for _, T := range []int{1, 3, 2*64 + 2} {
+				x := readInputs("outlier", uint64(210+T), T, in, 16)
+				y := tensor.New(T, out)
+				l.ForwardInto(y, x)
+				put(y)
+				scopes := make([]nn.LinearOp, T)
+				for i := range scopes {
+					scopes[i] = views[i%len(views)]
+				}
+				l.ForwardIntoRowScoped(y, x, scopes)
+				put(y)
+				putCounters(l.CostCounters())
+			}
+			if strings.HasSuffix(name, "-tight") && l.CostCounters().BMRetries == 0 {
+				t.Fatalf("%s rescale=%v: bound management never retried; the tight arm lost its retries", name, rescale)
+			}
+		}
+	}
+	return h.Sum64()
 }

@@ -1,9 +1,9 @@
 // Package cli is the single home of the flag surface shared by every nora
-// binary: model directory, evaluation size, quick mode, analog batch rows,
-// and noise-stream selection. Before this package each command re-declared
-// the same five flags and re-derived an engine.Config from them by hand,
-// and the copies drifted (defaults, help strings, stream validation). Now
-// every binary registers one Options value and resolves engine
+// binary: model directory, evaluation size, quick mode, noise-stream
+// selection and the cost model. Before this package each command
+// re-declared the same flags and re-derived an engine.Config from them by
+// hand, and the copies drifted (defaults, help strings, stream validation).
+// Now every binary registers one Options value and resolves engine
 // configuration through one code path, so two commands given identical
 // flags are guaranteed to build identical engines — a property pinned by
 // TestBinariesResolveIdenticalEngineConfig.
@@ -18,10 +18,10 @@
 //	eng := opt.NewEngine()
 //	ws, err := opt.LoadModels("")
 //
-// Flags that a particular binary does not consume (for example -batch on
-// nora-train, which never deploys analog hardware) are still accepted, so
-// the flag surface — and its defaults — is uniform across the whole tool
-// set.
+// Flags that a particular binary does not consume (for example
+// -noise-stream on nora-train, which never deploys analog hardware) are
+// still accepted, so the flag surface — and its defaults — is uniform
+// across the whole tool set.
 package cli
 
 import (
@@ -51,9 +51,6 @@ type Options struct {
 	// Quick selects a reduced sweep for fast smoke runs (-quick). Binaries
 	// interpret it through QuickEval plus their own sweep shrinking.
 	Quick bool
-	// BatchRows is the analog activation-row batch size (-batch); it never
-	// changes results (see engine.Config.BatchRows).
-	BatchRows int
 	// NoiseStream names the analog read-noise stream version
 	// (-noise-stream): "v1" (Box-Muller, bit-compatible with prior runs) or
 	// "v2" (ziggurat, faster). Finish validates and applies it.
@@ -83,7 +80,6 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.ModelDir, "modeldir", DefaultModelDir, "directory with cached models")
 	fs.IntVar(&o.EvalN, "eval", harness.EvalSize, "evaluation sequences per point")
 	fs.BoolVar(&o.Quick, "quick", false, "reduced sweep for a fast smoke run")
-	fs.IntVar(&o.BatchRows, "batch", 0, "analog batch rows per pass (0 = package default, 1 = legacy row loop; never changes results)")
 	fs.StringVar(&o.NoiseStream, "noise-stream", DefaultNoiseStream, "analog noise stream: v1 (Box-Muller, bit-compatible with prior runs) or v2 (ziggurat, faster)")
 	fs.StringVar(&o.CostModelSpec, "costmodel", "", "cost-model override: JSON file or k=v list (keys: dac_pj, adc_pj, cell_pj, mac_pj, mvm_ns, macs_per_ns, row_ns); empty = built-in defaults")
 }
@@ -162,7 +158,7 @@ func (o *Options) Stream() rng.StreamVersion {
 // derives its engine from this one function, so identical flags always
 // mean identical engines.
 func (o *Options) Engine() engine.Config {
-	cfg := engine.Config{BatchRows: o.BatchRows}
+	var cfg engine.Config
 	if o.CostModelSpec != "" {
 		// Only an explicit override lands in the config; the zero value lets
 		// engine.New resolve analog.DefaultCostModel itself, keeping the

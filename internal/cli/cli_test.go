@@ -39,8 +39,7 @@ func parseAs(t *testing.T, name string, args []string) *Options {
 func TestBinariesResolveIdenticalEngineConfig(t *testing.T) {
 	for _, args := range [][]string{
 		{},
-		{"-batch", "8"},
-		{"-modeldir", "elsewhere", "-eval", "42", "-batch", "1", "-noise-stream", "v2", "-quick"},
+		{"-modeldir", "elsewhere", "-eval", "42", "-noise-stream", "v2", "-quick"},
 	} {
 		report := parseAs(t, "nora-report", args)
 		sensitivity := parseAs(t, "nora-sensitivity", args)
@@ -62,8 +61,8 @@ func TestSharedDefaults(t *testing.T) {
 	if o.EvalN != harness.EvalSize {
 		t.Fatalf("default eval = %d, want %d", o.EvalN, harness.EvalSize)
 	}
-	if o.Quick || o.BatchRows != 0 {
-		t.Fatalf("unexpected defaults: quick=%v batch=%d", o.Quick, o.BatchRows)
+	if o.Quick {
+		t.Fatal("unexpected default: quick=true")
 	}
 	if got, want := o.Engine(), (engine.Config{}); got != want {
 		t.Fatalf("default engine config = %+v, want zero value", got)

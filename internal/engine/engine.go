@@ -51,22 +51,6 @@ type Config struct {
 	// points. <= 0 selects GOMAXPROCS.
 	GridWorkers int
 
-	// BatchRows is the activation-row batch size installed on every analog
-	// layer the engine deploys: n ≥ 2 runs the sequence-batched read path
-	// in chunks of n rows, 1 forces the row-at-a-time legacy loop, <= 0
-	// selects the analog package default (analog.DefaultBatchRows). Batch
-	// size never changes results — the batched path is bit-identical to the
-	// row loop — so it is deliberately NOT part of the deployment content
-	// key.
-	BatchRows int
-
-	// MACWorkers is the goroutine count for the deterministic MAC phase of
-	// batched analog reads, fanned out across a layer's tile panels. <= 1
-	// keeps the serial (allocation-free) default; useful when sequence-level
-	// EvalWorkers parallelism does not already saturate the cores. Applied
-	// process-wide (analog.SetMACWorkers) by New. Never changes results.
-	MACWorkers int
-
 	// CostModel prices the analog hardware events the engine counts around
 	// evaluation passes (Stats.Cost, Deployment.CostComparison). The zero
 	// value selects analog.DefaultCostModel(). Pure reporting: it never
@@ -116,10 +100,6 @@ func New(cfg Config) *Engine {
 	if cfg.CostModel == (analog.CostModel{}) {
 		cfg.CostModel = analog.DefaultCostModel()
 	}
-	// Always store the MAC worker setting: it is process-wide, so skipping
-	// the call for MACWorkers <= 1 would leave a previous engine's parallel
-	// setting in force. SetMACWorkers clamps <= 1 back to the serial default.
-	analog.SetMACWorkers(cfg.MACWorkers)
 	return &Engine{
 		cfg:     cfg,
 		order:   list.New(),
@@ -346,17 +326,6 @@ func (e *Engine) Deploy(req Request) *Deployment {
 	start := time.Now()
 	runner := core.Deploy(req.Net, req.Mode, req.Cal, req.Config, req.Seed(), req.Opt)
 	build := time.Since(start)
-	if e.cfg.BatchRows > 0 {
-		// Install the engine's batch size on every analog layer. A pure
-		// performance knob: results are bit-identical at any batch size, so
-		// cached deployments may safely serve requests issued before or
-		// after the knob existed.
-		for _, spec := range runner.Model().Linears() {
-			if op, ok := runner.Linear(spec.Name).(*analog.AnalogLinear); ok {
-				op.SetBatchRows(e.cfg.BatchRows)
-			}
-		}
-	}
 	entry.dep = &Deployment{
 		eng:       e,
 		Key:       req.contentKey(),
@@ -650,7 +619,7 @@ type Stats struct {
 	// digital deployments).
 	AnalogReads int64
 	// AnalogRows counts activation rows pushed through analog layers by
-	// evaluation runs — the unit the sequence-batched read path chunks.
+	// evaluation runs — the unit the analog read path chunks.
 	AnalogRows int64
 	// Counters is the full analog hardware-event tally of completed
 	// evaluation runs (Counters.MVMs == AnalogReads); DigitalMACs the
@@ -660,9 +629,6 @@ type Stats struct {
 	// Cost prices Counters/DigitalMACs under the engine's cost model: the
 	// analog energy/latency estimate against the digital-MAC baseline.
 	Cost analog.CostComparison
-	// BatchRows is the effective analog batch size in force (the engine
-	// config override, or the analog package default).
-	BatchRows int
 	// NoiseStreams names every noise-stream version requested for analog
 	// deployments so far (comma-joined, e.g. "v1-boxmuller"); empty before
 	// the first analog deploy. More than one entry in a single run usually
@@ -690,10 +656,6 @@ type Stats struct {
 // Stats returns a consistent snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	s := &e.stats
-	batch := e.cfg.BatchRows
-	if batch <= 0 {
-		batch = analog.BatchRows()
-	}
 	var streams []string
 	mask := s.streamMask.Load()
 	for v := rng.StreamVersion(1); v <= rng.StreamV2; v++ {
@@ -727,7 +689,6 @@ func (e *Engine) Stats() Stats {
 		Counters:         counters,
 		DigitalMACs:      macs,
 		Cost:             e.cfg.CostModel.Compare(counters, macs, rows),
-		BatchRows:        batch,
 		NoiseStreams:     strings.Join(streams, ","),
 		GenSteps:         s.genSteps.Load(),
 		GenTokens:        s.genTokens.Load(),
@@ -820,14 +781,14 @@ func (s Stats) String() string {
 	return fmt.Sprintf(
 		"engine: deploys=%d hits=%d evictions=%d deploy-time=%s | "+
 			"evals=%d eval-hits=%d eval-time=%s | seqs=%d skipped=%d tokens=%d (%.0f tok/s) | "+
-			"reads=%d (%.0f reads/s) rows=%d (%.0f rows/s) batch=%d stream=%s | "+
+			"reads=%d (%.0f reads/s) rows=%d (%.0f rows/s) stream=%s | "+
 			"allocs=%d (%.1f allocs/seq) | "+
 			"cost: analog=%.1fuJ/%.1fms digital=%.1fuJ/%.1fms saving=%.1fx bm-retries=%d",
 		s.DeployBuilds, s.DeployHits, s.Evictions, s.DeployTime.Round(time.Millisecond),
 		s.Evals, s.EvalHits, s.EvalTime.Round(time.Millisecond),
 		s.Sequences, s.SkippedSeqs, s.Tokens, s.TokensPerSecond(),
 		s.AnalogReads, s.ReadsPerSecond(), s.AnalogRows, s.RowsPerSecond(),
-		s.BatchRows, streams,
+		streams,
 		s.Mallocs, s.AllocsPerSequence(),
 		s.Cost.Analog.EnergyPJ/1e6, s.Cost.Analog.LatencyNS/1e6,
 		s.Cost.Digital.EnergyPJ/1e6, s.Cost.Digital.LatencyNS/1e6,

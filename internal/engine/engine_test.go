@@ -221,10 +221,8 @@ func TestEvalStatsAndThroughput(t *testing.T) {
 
 // Fault-model configurations must uphold the engine's determinism contract
 // exactly like the noise model: same seed + fault config → bit-identical
-// accuracy across cached vs. fresh deployments, eval worker counts, batch
-// sizes, and MAC worker counts.
+// accuracy across cached vs. fresh deployments and eval worker counts.
 func TestFaultConfigDeterminism(t *testing.T) {
-	defer analog.SetMACWorkers(0)
 	m := testModel(t)
 	seqs := testSeqs(10, 6)
 	cfg := testConfig()
@@ -236,43 +234,24 @@ func TestFaultConfigDeterminism(t *testing.T) {
 	req := Request{Model: "m", Net: m, Mode: core.DeployAnalogNaive, Config: cfg}
 
 	var results []nn.EvalResult
-	for _, ec := range []Config{
-		{EvalWorkers: 1, BatchRows: 1},                // serial row loop
-		{EvalWorkers: 4},                              // parallel eval, default batching
-		{EvalWorkers: 2, BatchRows: 3, MACWorkers: 4}, // odd batch + parallel MACs
-	} {
-		eng := New(ec)
+	workers := []int{1, 4, 2}
+	for _, n := range workers {
+		eng := New(Config{EvalWorkers: n})
 		dep := eng.Deploy(req)
 		first := dep.Eval(seqs)
 		if again := eng.Deploy(req).Eval(seqs); first != again {
-			t.Fatalf("cached faulty deployment diverged under %+v: %+v vs %+v", ec, first, again)
+			t.Fatalf("cached faulty deployment diverged under %d eval workers: %+v vs %+v", n, first, again)
 		}
 		results = append(results, first)
 	}
 	for i, r := range results[1:] {
 		if r != results[0] {
-			t.Fatalf("faulty eval varied with engine config %d: %+v vs %+v", i+1, r, results[0])
+			t.Fatalf("faulty eval varied with %d eval workers: %+v vs %+v", workers[i+1], r, results[0])
 		}
 	}
-	analog.SetMACWorkers(0)
 	fresh := core.Deploy(m, req.Mode, nil, req.Config, req.Seed(), core.Options{})
 	if serial := fresh.Eval(seqs, 1); serial != results[0] {
 		t.Fatalf("fresh serial faulty eval %+v != engine eval %+v", serial, results[0])
-	}
-}
-
-// Regression: engine.New used to install MACWorkers only when > 1, so an
-// engine configured for serial MAC silently inherited the process-wide
-// parallel setting of a previously constructed engine.
-func TestMACWorkersResetBetweenEngines(t *testing.T) {
-	defer analog.SetMACWorkers(0)
-	New(Config{MACWorkers: 4})
-	if got := analog.MACWorkers(); got != 4 {
-		t.Fatalf("first engine did not install its MAC worker count: got %d", got)
-	}
-	New(Config{}) // zero value = serial; must override, not inherit
-	if got := analog.MACWorkers(); got != 1 {
-		t.Fatalf("second engine inherited the previous process-wide MAC worker count: got %d", got)
 	}
 }
 

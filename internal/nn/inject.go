@@ -60,15 +60,15 @@ type Injector interface {
 // full Rel over the first RampFrac fraction of training, which avoids
 // destabilizing the early loss landscape.
 //
-// Fresh is a legacy compatibility mode for the deprecated Model.SetTrainNoise
-// path: noise is drawn sequentially from Rng at every forward call instead of
-// being frozen per step, reproducing the historical draw order exactly. New
-// code should leave it false.
+// Fresh is a legacy mode kept for the E18 HWA study (harness.HWAStudy):
+// noise is drawn sequentially from Rng at every forward call instead of
+// being frozen per step, reproducing that study's historical draw order
+// exactly. New code should leave it false.
 type OutputNoise struct {
 	Rel      float32   // noise std relative to max|y|; ≤0 disables
 	Rng      *rng.Rand // source stream (required when Rel > 0)
 	RampFrac float64   // fraction of totalSteps to ramp 0→Rel; ≤0 disables ramping
-	Fresh    bool      // legacy per-call draws (SetTrainNoise compatibility)
+	Fresh    bool      // legacy per-call draws (E18's HWAStudy)
 
 	begun   bool
 	step    int

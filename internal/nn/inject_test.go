@@ -198,29 +198,3 @@ func TestOutputNoisePanicsWithoutBeginStep(t *testing.T) {
 	}()
 	m.LossOnBatch(fdBatch)
 }
-
-func TestSetTrainNoiseShim(t *testing.T) {
-	// The deprecated setter installs a Fresh-mode OutputNoise, which needs
-	// no BeginStep and perturbs training relative to the clean path.
-	clean, err := NewModel(fdConfig(ArchOPT), rng.New(47))
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy, err := NewModel(fdConfig(ArchOPT), rng.New(47))
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy.SetTrainNoise(0.3, rng.New(9))
-	if len(noisy.Injectors()) != 1 {
-		t.Fatalf("SetTrainNoise installed %d injectors, want 1", len(noisy.Injectors()))
-	}
-	base := clean.LossOnBatch(fdBatch)
-	injected := noisy.LossOnBatch(fdBatch)
-	if base == injected {
-		t.Fatal("noise injection left the loss bit-identical to the clean path")
-	}
-	noisy.SetTrainNoise(0, nil)
-	if len(noisy.Injectors()) != 0 {
-		t.Fatal("SetTrainNoise(0, nil) did not clear the injector chain")
-	}
-}

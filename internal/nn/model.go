@@ -64,23 +64,6 @@ func (m *Model) Injectors() []Injector {
 	return m.injectors
 }
 
-// SetTrainNoise enables legacy hardware-aware noise-injection training:
-// every block linear output receives additive Gaussian noise with std
-// rel·max|y| drawn fresh per forward call from r, straight-through for
-// gradients. rel ≤ 0 (or a nil r) disables injection.
-//
-// Deprecated: use SetInjectors with an OutputNoise injector (and a
-// model.Trainer driving BeginStep) instead — it adds noise ramping and
-// per-step frozen realizations. This shim installs OutputNoise in Fresh
-// mode, which reproduces the historical draw order exactly.
-func (m *Model) SetTrainNoise(rel float32, r *rng.Rand) {
-	if rel <= 0 || r == nil {
-		m.SetInjectors()
-		return
-	}
-	m.SetInjectors(&OutputNoise{Rel: rel, Rng: r, Fresh: true})
-}
-
 // NewModel builds a model with scaled Gaussian initialization
 // (std 0.02 for embeddings, 1/sqrt(fanIn) for linears, ones for norm gains).
 func NewModel(cfg Config, r *rng.Rand) (*Model, error) {
