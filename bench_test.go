@@ -1,9 +1,11 @@
-// Package nora's root benchmark harness: one benchmark per table and
-// figure of the paper's evaluation, each driving the same code path as the
-// corresponding cmd/ regeneration tool on reduced workloads (tiny zoo
-// models, small eval sets) so the full suite stays runnable in minutes.
-// Run with -v to see the regenerated rows; run the cmd/ tools for the
-// full-scale numbers recorded in EXPERIMENTS.md.
+// Package nora's root benchmarks time the layers every study is built
+// from: Table I's noise inventory and Table II's preset on one analog MVM
+// (with the hard zero-allocation gate on the read path), Fig. 4's
+// distribution analysis, the engine's deployment cache and evaluation, the
+// digital and analog forwards, training and calibration steps, and the E22
+// decode and E23 chunked-prefill sets on a d=256 model. The studies
+// themselves run through the registry (`go run ./cmd/nora list`), and the
+// golden test in cmd/nora pins every study's quick output.
 package nora
 
 import (
@@ -151,22 +153,6 @@ func BenchmarkMVMRowAllocs(b *testing.B) {
 	}
 }
 
-// ---- Fig. 3: sensitivity study ------------------------------------------
-
-// BenchmarkFig3Sensitivity regenerates the sensitivity sweep (reduced: one
-// tiny model, two MSE levels) — naive-analog accuracy drop per noise kind.
-func BenchmarkFig3Sensitivity(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	targets := []float64{0.0006, 0.00275}
-	var points []harness.SensitivityPoint
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		points = harness.Sensitivity(engine.New(engine.Config{}), []*harness.Workload{w}, targets)
-	}
-	b.StopTimer()
-	logTable(b, harness.SensitivityTable(points))
-}
-
 // ---- Fig. 4: activation vs weight distributions ---------------------------
 
 // BenchmarkFig4DistributionKDE regenerates the Fig. 4 analysis: kernel
@@ -204,239 +190,6 @@ func BenchmarkFig4DistributionKDE(b *testing.B) {
 	}
 	b.StopTimer()
 	logTable(b, tbl)
-}
-
-// ---- Fig. 5(a): OPT ladder accuracy --------------------------------------
-
-// BenchmarkFig5aOPTAccuracy regenerates digital vs naive vs NORA accuracy
-// for the OPT-class workload under the Table II preset.
-func BenchmarkFig5aOPTAccuracy(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	var rows []harness.AccuracyRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.OverallAccuracy(engine.New(engine.Config{}), []*harness.Workload{w}, analog.PaperPreset())
-	}
-	b.StopTimer()
-	logTable(b, harness.AccuracyTable("Fig. 5(a) — OPT-class (reduced)", rows))
-	b.ReportMetric(rows[0].Digital-rows[0].NORA, "nora-loss")
-	b.ReportMetric(rows[0].Digital-rows[0].Naive, "naive-loss")
-}
-
-// ---- Table III: LLaMA / Mistral accuracy ----------------------------------
-
-// BenchmarkTable3LlamaMistral regenerates NORA vs digital FP for the
-// LLaMA-class and Mistral-class workloads.
-func BenchmarkTable3LlamaMistral(b *testing.B) {
-	_, lls := benchWorkloads(b)
-	var rows []harness.AccuracyRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.OverallAccuracy(engine.New(engine.Config{}), lls, analog.PaperPreset())
-	}
-	b.StopTimer()
-	logTable(b, harness.AccuracyTable("Table III — LLaMA/Mistral-class (reduced)", rows))
-}
-
-// ---- Fig. 5(b)(c): per-noise mitigation -----------------------------------
-
-// BenchmarkFig5bcMitigation regenerates the matched-MSE mitigation study:
-// naive vs NORA per noise kind at the 0.0015–0.0016 reference level.
-func BenchmarkFig5bcMitigation(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	var rows []harness.MitigationRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.Mitigation(engine.New(engine.Config{}), []*harness.Workload{w}, harness.MitigationMSETarget)
-	}
-	b.StopTimer()
-	logTable(b, harness.MitigationTable(rows))
-}
-
-// ---- Fig. 6: kurtosis and scale factors -----------------------------------
-
-// BenchmarkFig6KurtosisAndScale regenerates the per-layer input/weight
-// kurtosis and α·γ·g_max analysis for the query projections.
-func BenchmarkFig6KurtosisAndScale(b *testing.B) {
-	w, lls := benchWorkloads(b)
-	ws := append([]*harness.Workload{w}, lls...)
-	var rows []harness.Fig6Row
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.DistributionAnalysis(engine.New(engine.Config{}), ws, "attn.q", analog.PaperPreset())
-	}
-	b.StopTimer()
-	logTable(b, harness.Fig6Table(rows))
-}
-
-// ---- Extension: drift (paper §VII) ----------------------------------------
-
-// BenchmarkExtDrift regenerates the 1-hour drift study.
-func BenchmarkExtDrift(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	var rows []harness.DriftRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.DriftStudy(engine.New(engine.Config{}), []*harness.Workload{w}, 3600)
-	}
-	b.StopTimer()
-	logTable(b, harness.DriftTable(rows))
-}
-
-// ---- Extension: λ ablation --------------------------------------------------
-
-// BenchmarkExtLambdaAblation regenerates the migration-strength sweep.
-func BenchmarkExtLambdaAblation(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	lambdas := []float64{0.25, 0.5, 0.75, 1}
-	var rows []harness.LambdaRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.LambdaAblation(engine.New(engine.Config{}), []*harness.Workload{w}, lambdas)
-	}
-	b.StopTimer()
-	logTable(b, harness.LambdaTable(rows))
-}
-
-// ---- Extension: task generalization (paper §VII: more benchmarks) ----------
-
-// BenchmarkExtTaskGeneralization regenerates the recall-vs-majority task
-// comparison on tiny models.
-func BenchmarkExtTaskGeneralization(b *testing.B) {
-	spec := model.TinyMajoritySpec()
-	m, res, err := model.Train(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.EvalAcc < 0.8 {
-		b.Fatalf("majority model undertrained: %.3f", res.EvalAcc)
-	}
-	corpus, err := spec.Corpus()
-	if err != nil {
-		b.Fatal(err)
-	}
-	maj := &harness.Workload{
-		Spec:  spec,
-		Model: m,
-		Eval:  corpus.Split("eval", 40),
-		Calib: corpus.Split("calibration", 12),
-	}
-	rec, _ := benchWorkloads(b)
-	var rows []harness.AccuracyRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.OverallAccuracy(engine.New(engine.Config{}), []*harness.Workload{rec, maj}, analog.PaperPreset())
-	}
-	b.StopTimer()
-	logTable(b, harness.AccuracyTable("Ext. — task generalization (reduced)", rows))
-}
-
-// ---- Extension: multi-cell weight slicing (paper §VII) ----------------------
-
-// BenchmarkExtWeightSlicing regenerates the multi-cell weight-precision
-// study.
-func BenchmarkExtWeightSlicing(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	var rows []harness.SlicingRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.SlicingStudy(engine.New(engine.Config{}), []*harness.Workload{w}, [][2]int{{2, 4}})
-	}
-	b.StopTimer()
-	logTable(b, harness.SlicingTable(rows))
-}
-
-// ---- Extension: tile operating modes (paper §II variants) ------------------
-
-// BenchmarkExtOperatingModes regenerates the voltage/bit-serial ×
-// single-shot/write-verify mode matrix.
-func BenchmarkExtOperatingModes(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	var rows []harness.ModeRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.ModeStudy(engine.New(engine.Config{}), []*harness.Workload{w})
-	}
-	b.StopTimer()
-	logTable(b, harness.ModeTable(rows))
-}
-
-// ---- Extension: digital PTQ baselines (paper §VI related work) -------------
-
-// BenchmarkExtBaselines regenerates the digital W8A8 / SmoothQuant vs
-// analog naive / NORA comparison.
-func BenchmarkExtBaselines(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	var rows []harness.BaselineRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.BaselineComparison(engine.New(engine.Config{}), []*harness.Workload{w}, analog.PaperPreset())
-	}
-	b.StopTimer()
-	logTable(b, harness.BaselineTable(rows))
-}
-
-// ---- Extension: per-layer sensitivity (paper §VII future work) -------------
-
-// BenchmarkExtPerLayer regenerates the one-layer-analog-at-a-time ablation.
-func BenchmarkExtPerLayer(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	var rows []harness.PerLayerRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.PerLayerSensitivity(engine.New(engine.Config{}), []*harness.Workload{w}, analog.PaperPreset())
-	}
-	b.StopTimer()
-	logTable(b, harness.PerLayerTable(rows))
-}
-
-// ---- Extension: calibration clipping quantile -------------------------------
-
-// BenchmarkExtQuantileCalibration regenerates the calibration-quantile
-// ablation.
-func BenchmarkExtQuantileCalibration(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	qs := []float64{0.9, 0.99, 1.0}
-	var rows []harness.QuantileRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.CalibrationAblation(engine.New(engine.Config{}), []*harness.Workload{w}, qs)
-	}
-	b.StopTimer()
-	logTable(b, harness.QuantileTable(rows))
-}
-
-// ---- Extension: energy/latency estimate (paper §VII future work) -----------
-
-// BenchmarkExtCostModel regenerates the hardware cost estimate.
-func BenchmarkExtCostModel(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	var rows []harness.CostRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = harness.CostStudy(engine.New(engine.Config{}), []*harness.Workload{w}, analog.PaperPreset(), analog.DefaultCostModel())
-	}
-	b.StopTimer()
-	logTable(b, harness.CostTable(rows))
-}
-
-// ---- Extension: hardware-aware training baseline (Fig. 1 Challenge 1) ------
-
-// BenchmarkExtHWAvsNORA regenerates the HWA-fine-tuning vs NORA
-// comparison (reduced step budget).
-func BenchmarkExtHWAvsNORA(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	var row harness.HWARow
-	var err error
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		row, err = harness.HWAStudy(engine.New(engine.Config{}), w, 60, analog.PaperPreset())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	logTable(b, harness.HWATable([]harness.HWARow{row}))
 }
 
 // ---- engine: deployment cache and parallel eval ----------------------------

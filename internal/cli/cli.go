@@ -8,7 +8,8 @@
 // flags are guaranteed to build identical engines — a property pinned by
 // TestBinariesResolveIdenticalEngineConfig.
 //
-// Usage pattern (all ten cmd binaries):
+// Usage pattern (all four cmd binaries: nora, nora-serve, nora-loadgen and
+// nora-train):
 //
 //	var opt cli.Options
 //	opt.RegisterFlags(flag.CommandLine)
@@ -48,8 +49,8 @@ type Options struct {
 	ModelDir string
 	// EvalN is the number of evaluation sequences per point (-eval).
 	EvalN int
-	// Quick selects a reduced sweep for fast smoke runs (-quick). Binaries
-	// interpret it through QuickEval plus their own sweep shrinking.
+	// Quick selects a reduced sweep for fast smoke runs (-quick): nora runs
+	// each study's quick variant at QuickEval's smaller evaluation size.
 	Quick bool
 	// NoiseStream names the analog read-noise stream version
 	// (-noise-stream): "v1" (Box-Muller, bit-compatible with prior runs) or
@@ -227,9 +228,8 @@ func ParseModels(keys string) ([]model.Spec, error) {
 	return specs, nil
 }
 
-// FleetOptions is the shared flag surface for multi-chip fleet serving and
-// simulation (nora-serve, nora-fleet). Resolve through Fleet(), which
-// validates.
+// FleetOptions is the flag surface for multi-chip fleet serving
+// (nora-serve). Resolve through Fleet(), which validates.
 type FleetOptions struct {
 	// Chips is the number of simulated chips (-chips); must be >= 1.
 	Chips int
@@ -301,20 +301,6 @@ func ValidateServeKnobs(decodeBatch, prefillChunk, kvPages int) error {
 		return fmt.Errorf("cli: -kv-pages %d must not be negative (0 = slab-equivalent pool)", kvPages)
 	}
 	return nil
-}
-
-// ParseFloats parses a comma-separated float list (ladder flags like
-// -rates and -ages).
-func ParseFloats(list string) ([]float64, error) {
-	var out []float64
-	for _, s := range strings.Split(list, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // ParseInts parses a comma-separated int list (the loadgen concurrency

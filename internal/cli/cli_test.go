@@ -31,8 +31,8 @@ func parseAs(t *testing.T, name string, args []string) *Options {
 }
 
 // TestBinariesResolveIdenticalEngineConfig pins the api_redesign contract:
-// nora-report and nora-sensitivity (and by construction every other
-// binary) resolve identical engine.Configs from identical flags, because
+// nora and nora-serve (and by construction every other binary) resolve
+// identical engine.Configs from identical flags, because
 // both register the one shared Options and derive the engine through
 // Options.Engine. Before internal/cli each binary hand-rolled this
 // plumbing and the copies could drift.
@@ -41,14 +41,14 @@ func TestBinariesResolveIdenticalEngineConfig(t *testing.T) {
 		{},
 		{"-modeldir", "elsewhere", "-eval", "42", "-noise-stream", "v2", "-quick"},
 	} {
-		report := parseAs(t, "nora-report", args)
-		sensitivity := parseAs(t, "nora-sensitivity", args)
-		if !reflect.DeepEqual(report.Engine(), sensitivity.Engine()) {
+		nora := parseAs(t, "nora", args)
+		serve := parseAs(t, "nora-serve", args)
+		if !reflect.DeepEqual(nora.Engine(), serve.Engine()) {
 			t.Fatalf("args %v: engine configs diverge: %+v vs %+v",
-				args, report.Engine(), sensitivity.Engine())
+				args, nora.Engine(), serve.Engine())
 		}
-		if *report != *sensitivity {
-			t.Fatalf("args %v: resolved options diverge: %+v vs %+v", args, report, sensitivity)
+		if *nora != *serve {
+			t.Fatalf("args %v: resolved options diverge: %+v vs %+v", args, nora, serve)
 		}
 	}
 }
@@ -116,13 +116,6 @@ func TestParseModels(t *testing.T) {
 }
 
 func TestParseLists(t *testing.T) {
-	fs, err := ParseFloats("0, 0.01,0.05")
-	if err != nil || len(fs) != 3 || fs[1] != 0.01 {
-		t.Fatalf("ParseFloats: %v %v", fs, err)
-	}
-	if _, err := ParseFloats("a,b"); err == nil {
-		t.Fatal("ParseFloats accepted garbage")
-	}
 	is, err := ParseInts("1, 8,32")
 	if err != nil || len(is) != 3 || is[2] != 32 {
 		t.Fatalf("ParseInts: %v %v", is, err)

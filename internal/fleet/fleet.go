@@ -93,7 +93,7 @@ func (s ChipSpec) Apply(base analog.Config) analog.Config {
 }
 
 // GradientChips builds the canonical n-chip heterogeneous fleet shared by
-// nora-serve, nora-fleet, and experiment E24: chip 0 is the implicit fresh
+// nora-serve and experiment E24: chip 0 is the implicit fresh
 // chip (so a 1-chip fleet stays bit-identical to single-chip deployment)
 // and later chips ramp their stuck-at fault rate linearly up to worst, with
 // the robustness study's even SA1 split.

@@ -162,10 +162,9 @@ func ChartOf[R any](title, xlabel, ylabel string, rows []R, series []Series[R]) 
 	return chart
 }
 
-// SensitivityCharts renders one accuracy-vs-achieved-MSE chart per noise
-// kind from sensitivity points (the terminal rendition of Fig. 3's
-// panels).
-func SensitivityCharts(points []SensitivityPoint, w io.Writer) error {
+// SensitivityCharts builds one accuracy-vs-achieved-MSE chart per noise
+// kind that has points (the terminal rendition of Fig. 3's panels).
+func SensitivityCharts(points []SensitivityPoint) []*Chart {
 	var names []string
 	seen := map[string]bool{}
 	for _, p := range points {
@@ -175,6 +174,7 @@ func SensitivityCharts(points []SensitivityPoint, w io.Writer) error {
 		}
 	}
 	sortStrings(names)
+	var charts []*Chart
 	for _, kind := range AllNoiseKinds() {
 		kind := kind
 		series := make([]Series[SensitivityPoint], 0, len(names))
@@ -189,17 +189,11 @@ func SensitivityCharts(points []SensitivityPoint, w io.Writer) error {
 		}
 		chart := ChartOf(fmt.Sprintf("Fig. 3 (%s) — accuracy vs reference MSE", kind),
 			"reference MSE", "accuracy", points, series)
-		if len(chart.series) == 0 {
-			continue
-		}
-		if err := chart.Render(w); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
+		if len(chart.series) > 0 {
+			charts = append(charts, chart)
 		}
 	}
-	return nil
+	return charts
 }
 
 func sortStrings(xs []string) {

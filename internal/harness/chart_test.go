@@ -82,8 +82,10 @@ func TestSensitivityCharts(t *testing.T) {
 		{Model: "m1", Kind: KindOutNoise, MSE: 0.001, Accuracy: 0.2},
 	}
 	var sb strings.Builder
-	if err := SensitivityCharts(points, &sb); err != nil {
-		t.Fatal(err)
+	for _, c := range SensitivityCharts(points) {
+		if err := c.Render(&sb); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := sb.String()
 	if !strings.Contains(out, "adc-quant") || !strings.Contains(out, "out-noise") {

@@ -198,38 +198,6 @@ func TestDriftStudyShape(t *testing.T) {
 	}
 }
 
-func TestHWAStudyShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fine-tuning in test")
-	}
-	w := tinyWorkload(t)
-	row, err := HWAStudy(testEng, w, 120, analog.PaperPreset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("digital %.3f naive %.3f hwa %.3f (fp %.3f) nora %.3f | train %.1fs calib %.3fs rel %.3f",
-		row.Digital, row.Naive, row.HWA, row.HWAFP, row.NORA,
-		row.HWATrainSeconds, row.CalibrateSeconds, row.NoiseRel)
-	if row.NoiseRel <= 0 {
-		t.Fatal("matched noise level missing")
-	}
-	// HWA fine-tuning must help the naive deployment...
-	if row.HWA < row.Naive+0.1 {
-		t.Fatalf("HWA (%.3f) did not improve on naive (%.3f)", row.HWA, row.Naive)
-	}
-	// ...but costs orders of magnitude more wall-clock than calibration.
-	if row.HWATrainSeconds < 10*row.CalibrateSeconds {
-		t.Fatalf("HWA training (%.2fs) should dwarf calibration (%.2fs)", row.HWATrainSeconds, row.CalibrateSeconds)
-	}
-	// NORA stays the stronger-or-equal mitigation on this model.
-	if row.NORA < row.HWA-0.05 {
-		t.Fatalf("NORA (%.3f) unexpectedly far below HWA (%.3f)", row.NORA, row.HWA)
-	}
-	if tb := HWATable([]HWARow{row}); len(tb.Rows) != 1 {
-		t.Fatal("HWATable row count")
-	}
-}
-
 func TestOverallAccuracyReplicated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment in test")

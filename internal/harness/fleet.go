@@ -3,6 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 
 	"nora/internal/analog"
 	"nora/internal/core"
@@ -220,4 +222,142 @@ func FleetTable(rows []FleetRow) *Table {
 			{"max-wait", func(r FleetRow) any { return r.MaxWait }},
 			{"worn-share", func(r FleetRow) any { return r.WornShare }},
 		})
+}
+
+// DrillRow is one step of a scripted fleet drill: what the fleet looked
+// like after it.
+type DrillRow struct {
+	Model     string
+	Chips     int
+	WorstRate float64
+	Drill     string // "failure" or "rolling"
+	Step      string
+	Outcome   string
+}
+
+// FleetDrills scripts the two fleet drills on a health-aware gradient fleet
+// of the given size and worst-chip rate, each on a fleet of its own:
+//
+//	failure  route traffic, fail the busiest chip, route again (the
+//	         survivors take it), restore the chip, route again
+//	rolling  re-program every chip in turn (fresh fault draws) and compare
+//	         the replicas' health before and after
+//
+// Traffic goes through Group.Acquire, the path serving requests take, one
+// request at a time, so every tally is deterministic.
+func FleetDrills(eng *engine.Engine, w *Workload, base analog.Config, size int, rate float64) ([]DrillRow, error) {
+	req := w.Request(core.DeployAnalogNORA, base, core.Options{}, "")
+	cfg := fleet.Config{Chips: fleet.GradientChips(size, rate), Policy: fleet.HealthAware}
+	var rows []DrillRow
+	add := func(drill, step, outcome string) {
+		rows = append(rows, DrillRow{w.Spec.Display, size, rate, drill, step, outcome})
+	}
+
+	flt := fleet.New(eng, cfg)
+	grp := flt.Deploy(req)
+	before, err := fireDrill(grp, 24)
+	if err != nil {
+		return nil, err
+	}
+	target, busiest := "", -1
+	for _, id := range sortedKeys(before) {
+		if before[id] > busiest {
+			target, busiest = id, before[id]
+		}
+	}
+	add("failure", "baseline traffic", fmtServed(before))
+	if err := flt.Fail(target); err != nil {
+		return nil, err
+	}
+	after, ferr := fireDrill(grp, 24)
+	outcome := fmtServed(after)
+	if ferr != nil {
+		outcome += fmt.Sprintf(" (fleet exhausted: %v)", ferr)
+	}
+	add("failure", "after failing "+chipName(target), outcome)
+	if err := flt.Restore(target); err != nil {
+		return nil, err
+	}
+	restored, err := fireDrill(grp, 24)
+	if err != nil {
+		return nil, err
+	}
+	add("failure", "after restore", fmtServed(restored))
+
+	flt = fleet.New(eng, cfg)
+	grp = flt.Deploy(req)
+	add("rolling", "health before", fmtHealth(grp))
+	if err := flt.RollingReprogram(context.Background()); err != nil {
+		return nil, err
+	}
+	add("rolling", "health after", fmtHealth(grp))
+	for _, c := range flt.Chips() {
+		add("rolling", chipName(c.Spec.ID), fmt.Sprintf("state %s, reprogrammed %d time(s)", c.State(), c.Reprograms()))
+	}
+	return rows, nil
+}
+
+// DrillTable renders fleet-drill rows.
+func DrillTable(rows []DrillRow) *Table {
+	return TableOf("E24 — failure and rolling-reprogram drills (health-aware routing)",
+		rows, []Col[DrillRow]{
+			{"model", func(r DrillRow) any { return r.Model }},
+			{"chips", func(r DrillRow) any { return r.Chips }},
+			{"worst-rate", func(r DrillRow) any { return r.WorstRate }},
+			{"drill", func(r DrillRow) any { return r.Drill }},
+			{"step", func(r DrillRow) any { return r.Step }},
+			{"outcome", func(r DrillRow) any { return r.Outcome }},
+		})
+}
+
+// chipName renders a chip ID; "" is the implicit fresh chip.
+func chipName(id string) string {
+	if id == "" {
+		return "chip0"
+	}
+	return id
+}
+
+// fireDrill routes n requests through the group one at a time and tallies
+// which chips (by ID) carried them.
+func fireDrill(grp *fleet.Group, n int) (map[string]int, error) {
+	served := make(map[string]int)
+	for i := 0; i < n; i++ {
+		rep, release, err := grp.Acquire()
+		if err != nil {
+			return served, err
+		}
+		for _, c := range rep.Chips() {
+			served[c.Spec.ID]++
+		}
+		release()
+	}
+	return served, nil
+}
+
+func sortedKeys(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// fmtServed renders a traffic tally in chip order.
+func fmtServed(served map[string]int) string {
+	parts := make([]string, 0, len(served))
+	for _, id := range sortedKeys(served) {
+		parts = append(parts, fmt.Sprintf("%s=%d", chipName(id), served[id]))
+	}
+	return strings.Join(parts, " ")
+}
+
+// fmtHealth renders each replica's health penalty.
+func fmtHealth(grp *fleet.Group) string {
+	var parts []string
+	for _, rep := range grp.Replicas() {
+		parts = append(parts, fmt.Sprintf("r%d=%.4f", rep.Index, rep.HealthScore()))
+	}
+	return strings.Join(parts, " ")
 }

@@ -49,6 +49,15 @@ type HWADriftRow struct {
 	NORA    float64 // digital model, NORA + GDC
 	HWA     float64 // HWA variant, naive analog + GDC
 	NORAHWA float64 // HWA variant, NORA + GDC
+
+	// What each mitigation costs before deployment, in sequences (the
+	// paper's Fig. 1 Challenge 1): HWA fine-tuning runs a forward and a
+	// backward pass over every training sequence, NORA's calibration a
+	// forward pass over every calibration sequence. Counts, not seconds, so
+	// the table stays byte-stable and a cached checkpoint reports the same
+	// cost as a fresh fine-tune.
+	HWATrainSeqs  int
+	NORACalibSeqs int
 }
 
 // HWAWorkload derives the deployable workload of w's hardware-aware variant
@@ -115,6 +124,9 @@ func HWASweep(eng *engine.Engine, ws []*Workload, modelDir string, recipe model.
 				NORA:       g.Accuracy(wi, pi, 1),
 				HWA:        g.Accuracy(wi, pi, 2),
 				NORAHWA:    g.Accuracy(wi, pi, 3),
+
+				HWATrainSeqs:  recipe.Steps * recipe.BatchSize,
+				NORACalibSeqs: len(w.Calib),
 			})
 		}
 	}
@@ -133,5 +145,7 @@ func HWADriftTable(rows []HWADriftRow) *Table {
 			{"nora+gdc", func(r HWADriftRow) any { return r.NORA }},
 			{"hwa+gdc", func(r HWADriftRow) any { return r.HWA }},
 			{"nora+hwa+gdc", func(r HWADriftRow) any { return r.NORAHWA }},
+			{"hwa-train-seqs", func(r HWADriftRow) any { return r.HWATrainSeqs }},
+			{"nora-calib-seqs", func(r HWADriftRow) any { return r.NORACalibSeqs }},
 		})
 }

@@ -158,19 +158,6 @@ func TestCalibrateQuantKinds(t *testing.T) {
 	}
 }
 
-func TestSeedForStableAndDistinct(t *testing.T) {
-	a := seedFor("x", "y")
-	b := seedFor("x", "y")
-	c := seedFor("x", "z")
-	d := seedFor("xy")
-	if a != b {
-		t.Fatal("seedFor not stable")
-	}
-	if a == c || a == d {
-		t.Fatal("seedFor collisions on simple labels")
-	}
-}
-
 func TestTableText(t *testing.T) {
 	tbl := NewTable("demo", "a", "bb")
 	tbl.Add("x", 1.5)

@@ -7,9 +7,8 @@ import (
 	"testing"
 )
 
-// TestWriteCSVFileCreatesParentDirs is the regression test for
-// `nora-robustness -csv results/robustness.csv` failing on a fresh
-// checkout: WriteCSVFile must create missing parent directories itself
+// TestWriteCSVFileCreatesParentDirs is the regression test for a
+// `-csv results/robustness.csv` export failing on a fresh checkout: WriteCSVFile must create missing parent directories itself
 // instead of relying on each caller to MkdirAll first.
 func TestWriteCSVFileCreatesParentDirs(t *testing.T) {
 	tbl := NewTable("t", "a", "b")

@@ -115,23 +115,3 @@ func (w *Workload) Calibration() *core.Calibration {
 	})
 	return w.cal
 }
-
-// seedFor derives a stable experiment seed from string labels. Deployment
-// seeds now come from engine.Request.Seed; this remains for auxiliary
-// streams (the HWA study's training-noise and data-order seeds).
-func seedFor(labels ...string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, l := range labels {
-		for i := 0; i < len(l); i++ {
-			h ^= uint64(l[i])
-			h *= prime
-		}
-		h ^= '/'
-		h *= prime
-	}
-	return h
-}

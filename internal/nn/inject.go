@@ -59,16 +59,10 @@ type Injector interface {
 // RampFrac > 0 ramps the injected magnitude linearly from 0 at step 0 to the
 // full Rel over the first RampFrac fraction of training, which avoids
 // destabilizing the early loss landscape.
-//
-// Fresh is a legacy mode kept for the E18 HWA study (harness.HWAStudy):
-// noise is drawn sequentially from Rng at every forward call instead of
-// being frozen per step, reproducing that study's historical draw order
-// exactly. New code should leave it false.
 type OutputNoise struct {
 	Rel      float32   // noise std relative to max|y|; ≤0 disables
 	Rng      *rng.Rand // source stream (required when Rel > 0)
 	RampFrac float64   // fraction of totalSteps to ramp 0→Rel; ≤0 disables ramping
-	Fresh    bool      // legacy per-call draws (E18's HWAStudy)
 
 	begun   bool
 	step    int
@@ -79,7 +73,7 @@ type OutputNoise struct {
 
 // BeginStep freezes the per-step noise stream and applies the ramp schedule.
 func (o *OutputNoise) BeginStep(step, totalSteps int) {
-	if o.Fresh || o.Rel <= 0 || o.Rng == nil {
+	if o.Rel <= 0 || o.Rng == nil {
 		return
 	}
 	if o.begun && step == o.step {
@@ -102,18 +96,13 @@ func (o *OutputNoise) Weight(tp *autograd.Tape, ctx LinearCtx, w *autograd.Var) 
 	return w
 }
 
-// Output adds the (per-step frozen, or Fresh per-call) noise realization.
+// Output adds the per-step frozen noise realization.
 func (o *OutputNoise) Output(tp *autograd.Tape, ctx LinearCtx, out *autograd.Var) *autograd.Var {
 	if o.Rel <= 0 || o.Rng == nil {
 		return out
 	}
-	if o.Fresh {
-		noise := tensor.New(out.Val.Rows, out.Val.Cols)
-		o.Rng.FillNormal(noise.Data, 0, o.Rel*out.Val.AbsMax())
-		return tp.AddConst(out, noise)
-	}
 	if !o.begun {
-		panic("nn: OutputNoise.Output before BeginStep (use a Trainer, or Fresh mode)")
+		panic("nn: OutputNoise.Output before BeginStep (use a Trainer)")
 	}
 	if o.scale <= 0 {
 		return out

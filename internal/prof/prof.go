@@ -1,8 +1,7 @@
-// Package prof wires the standard -cpuprofile/-memprofile flags into the
-// nora commands with one call, so every binary exposes the same pprof
-// workflow:
+// Package prof wires the standard -cpuprofile/-memprofile flags into a
+// command with one call; nora uses it, so every study can be profiled:
 //
-//	nora-report -cpuprofile cpu.out -memprofile mem.out ...
+//	nora -cpuprofile cpu.out -memprofile mem.out run E1
 //	go tool pprof cpu.out
 package prof
 

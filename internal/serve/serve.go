@@ -476,7 +476,7 @@ func (s *Server) predict(r *http.Request, start time.Time) (int, any) {
 
 // evalRequest is the /v1/eval wire format. An omitted sequence set selects
 // the workload's preloaded eval split (the offline experiments' split, so
-// the response agrees exactly with nora-eval).
+// the response agrees exactly with the E3/E4 studies).
 type evalRequest struct {
 	Model     string  `json:"model"`
 	Mode      string  `json:"mode"`
