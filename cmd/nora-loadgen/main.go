@@ -37,7 +37,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,6 +47,7 @@ import (
 	"nora/internal/model"
 	"nora/internal/rng"
 	"nora/internal/serve"
+	"nora/internal/stats"
 )
 
 type levelResult struct {
@@ -55,15 +55,21 @@ type levelResult struct {
 	ok, rejects int
 	errs        int
 	elapsed     time.Duration
-	latencies   []time.Duration // successful requests only
+	latencies   []float32 // milliseconds, successful requests only
 }
 
-func (l *levelResult) quantile(q float64) time.Duration {
-	if len(l.latencies) == 0 {
-		return 0
+// ms converts a latency sample to milliseconds.
+func ms(d time.Duration) float32 { return float32(float64(d) / 1e6) }
+
+// percentiles returns the p50, p95 and p99 of millisecond samples, the
+// tables' three quantile columns. stats.Quantile interpolates between
+// ranks, the definition perfbench reports.
+func percentiles(samples []float32) [3]float64 {
+	return [3]float64{
+		stats.Quantile(samples, 0.50),
+		stats.Quantile(samples, 0.95),
+		stats.Quantile(samples, 0.99),
 	}
-	idx := int(q * float64(len(l.latencies)-1))
-	return l.latencies[idx]
 }
 
 func main() {
@@ -141,13 +147,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		lat := percentiles(res.latencies)
 		tbl.Add(
 			fmt.Sprintf("%d", c),
 			float64(res.ok)/res.elapsed.Seconds(),
 			float64(res.ok), float64(res.rejects), float64(res.errs),
-			float64(res.quantile(0.50))/1e6,
-			float64(res.quantile(0.95))/1e6,
-			float64(res.quantile(0.99))/1e6,
+			lat[0], lat[1], lat[2],
 			statz.Batch.MeanBatch,
 		)
 	}
@@ -182,7 +187,7 @@ func runLevel(client *http.Client, url, modelKey, mode string, vocab, ctxLen, wo
 		go func(w int) {
 			defer wg.Done()
 			r := rng.New(seed + uint64(w)*7919)
-			var lats []time.Duration
+			var lats []float32
 			ok, rejects, errs := 0, 0, 0
 			for time.Now().Before(deadline) {
 				ctx := make([]int, ctxLen)
@@ -201,7 +206,7 @@ func runLevel(client *http.Client, url, modelKey, mode string, vocab, ctxLen, wo
 				switch resp.StatusCode {
 				case http.StatusOK:
 					ok++
-					lats = append(lats, time.Since(t0))
+					lats = append(lats, ms(time.Since(t0)))
 				case http.StatusTooManyRequests:
 					rejects++
 					time.Sleep(time.Millisecond) // honor backpressure briefly
@@ -219,7 +224,6 @@ func runLevel(client *http.Client, url, modelKey, mode string, vocab, ctxLen, wo
 	}
 	wg.Wait()
 	res.elapsed = time.Since(start)
-	sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
 	return res
 }
 
@@ -282,15 +286,8 @@ type genLevelResult struct {
 	ok, rejects, errs int
 	tokens            int64
 	elapsed           time.Duration
-	ttfts             []time.Duration // request start → first token, per stream
-	gaps              []time.Duration // inter-token latencies, per token
-}
-
-func quantileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[int(q*float64(len(sorted)-1))]
+	ttfts             []float32 // request start → first token in ms, per stream
+	gaps              []float32 // inter-token latencies in ms, per token
 }
 
 // runGenerateBench drives the streaming /v1/generate workload across the
@@ -323,16 +320,13 @@ func runGenerateBench(client *http.Client, url, modelKey, mode string, vocab, pr
 		if steps := after.Engine.GenSteps - before.Engine.GenSteps; steps > 0 {
 			occupancy = float64(after.Engine.GenTokens-before.Engine.GenTokens) / float64(steps)
 		}
+		ttft, itl := percentiles(res.ttfts), percentiles(res.gaps)
 		tbl.Add(
 			fmt.Sprintf("%d", c),
 			float64(res.tokens)/res.elapsed.Seconds(),
 			float64(res.ok), float64(res.rejects), float64(res.errs),
-			float64(quantileDur(res.ttfts, 0.50))/1e6,
-			float64(quantileDur(res.ttfts, 0.95))/1e6,
-			float64(quantileDur(res.ttfts, 0.99))/1e6,
-			float64(quantileDur(res.gaps, 0.50))/1e6,
-			float64(quantileDur(res.gaps, 0.95))/1e6,
-			float64(quantileDur(res.gaps, 0.99))/1e6,
+			ttft[0], ttft[1], ttft[2],
+			itl[0], itl[1], itl[2],
 			occupancy,
 		)
 	}
@@ -424,16 +418,14 @@ func runGenLevel(client *http.Client, url, modelKey, mode string, vocab, promptL
 	}
 	wg.Wait()
 	res.elapsed = time.Since(start)
-	sort.Slice(res.ttfts, func(i, j int) bool { return res.ttfts[i] < res.ttfts[j] })
-	sort.Slice(res.gaps, func(i, j int) bool { return res.gaps[i] < res.gaps[j] })
 	return res
 }
 
 // drainStream reads one NDJSON generation stream, timing the first token
-// and every inter-token gap. ok is false when the stream ends without a
+// and every inter-token gap in milliseconds. ok is false when the stream ends without a
 // final event or with a non-clean finish ("error" finals count as errors;
 // "shutdown" and "canceled" count as clean — the server retired us).
-func drainStream(body io.Reader, t0 time.Time) (tokens int, ttft time.Duration, gaps []time.Duration, ok bool) {
+func drainStream(body io.Reader, t0 time.Time) (tokens int, ttft float32, gaps []float32, ok bool) {
 	sc := bufio.NewScanner(body)
 	prev := t0
 	for sc.Scan() {
@@ -450,9 +442,9 @@ func drainStream(body io.Reader, t0 time.Time) (tokens int, ttft time.Duration, 
 		}
 		now := time.Now()
 		if tokens == 0 {
-			ttft = now.Sub(t0)
+			ttft = ms(now.Sub(t0))
 		} else {
-			gaps = append(gaps, now.Sub(prev))
+			gaps = append(gaps, ms(now.Sub(prev)))
 		}
 		prev = now
 		tokens++

@@ -9,13 +9,14 @@
 //	nora-serve [-addr :8080] [-models opt-c1,llama-c1] [-modeldir testdata/models]
 //	           [-max-batch 16] [-max-delay 2ms] [-queue 256] [-timeout 30s]
 //	           [-decode-batch 16] [-prefill-chunk 64] [-kv-pages 0]
-//	           [-chips 1] [-replicas 0] [-policy health] [-fault-gradient 0]
+//	           [-chips 1] [-policy health] [-fault-gradient 0]
 //	           [-eval 150] [-noise-stream v1]
 //
 // With -chips > 1 requests route through a simulated multi-chip fleet
-// (internal/fleet): each chip realizes independent fault/drift draws, the
-// router picks replicas by health and load, and /v1/chips scripts drain /
-// fail / restore / reprogram scenarios.
+// (internal/fleet): each chip hosts one replica of every deployment and
+// realizes independent fault/drift draws, the router picks replicas by
+// health and load, and /v1/chips scripts drain / fail / restore /
+// reprogram scenarios.
 //
 // Shut down with SIGINT/SIGTERM: the listener stops accepting, in-flight
 // requests drain, then the micro-batchers close.

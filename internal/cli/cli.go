@@ -232,11 +232,8 @@ func ParseModels(keys string) ([]model.Spec, error) {
 // (nora-serve). Resolve through Fleet(), which validates.
 type FleetOptions struct {
 	// Chips is the number of simulated chips (-chips); must be >= 1.
+	// Every chip hosts one replica of each deployment.
 	Chips int
-	// Replicas is the replicas per deployment (-replicas); 0 selects the
-	// fleet default (one replica per shard-width chips), negatives are
-	// rejected.
-	Replicas int
 	// Policy names the routing policy (-policy): roundrobin or health.
 	Policy string
 	// FaultGradient is the worst chip's stuck-at fault rate
@@ -248,7 +245,6 @@ type FleetOptions struct {
 // RegisterFlags installs the fleet flag set on fs.
 func (f *FleetOptions) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&f.Chips, "chips", 1, "simulated chips in the fleet (>= 1)")
-	fs.IntVar(&f.Replicas, "replicas", 0, "replicas per deployment (0 = one per chip)")
 	fs.StringVar(&f.Policy, "policy", "health", "replica routing policy: roundrobin or health")
 	fs.Float64Var(&f.FaultGradient, "fault-gradient", 0,
 		"stuck-at fault rate of the worst chip; chips ramp linearly from fresh to it")
@@ -261,9 +257,6 @@ func (f *FleetOptions) Fleet() (fleet.Config, error) {
 	if f.Chips < 1 {
 		return fleet.Config{}, fmt.Errorf("cli: -chips %d: a fleet needs at least one chip", f.Chips)
 	}
-	if f.Replicas < 0 {
-		return fleet.Config{}, fmt.Errorf("cli: -replicas %d must not be negative", f.Replicas)
-	}
 	if f.FaultGradient < 0 || f.FaultGradient >= 1 {
 		return fleet.Config{}, fmt.Errorf("cli: -fault-gradient %g must be in [0, 1)", f.FaultGradient)
 	}
@@ -272,17 +265,9 @@ func (f *FleetOptions) Fleet() (fleet.Config, error) {
 		return fleet.Config{}, err
 	}
 	return fleet.Config{
-		Chips:    FleetChips(f.Chips, f.FaultGradient),
-		Replicas: f.Replicas,
-		Policy:   pol,
+		Chips:  fleet.GradientChips(f.Chips, f.FaultGradient),
+		Policy: pol,
 	}, nil
-}
-
-// FleetChips builds the canonical gradient chip set (see
-// fleet.GradientChips): chip 0 is the implicit fresh chip and later chips
-// ramp linearly up to the worst stuck-at rate.
-func FleetChips(n int, worst float64) []fleet.ChipSpec {
-	return fleet.GradientChips(n, worst)
 }
 
 // ValidateServeKnobs rejects serving knobs the schedulers would misbehave

@@ -217,10 +217,10 @@ func TestCostModelRejectsGarbage(t *testing.T) {
 }
 
 // TestFleetOptionsValidation pins the fleet/serving flag guard rails: a
-// zero- or negative-chip fleet, negative replicas, an out-of-range fault
-// gradient, and bad serving knobs all fail fast at startup instead of
-// panicking (or silently misbehaving) deep inside the scheduler. Zero
-// -kv-pages stays valid — it selects the documented slab-equivalent pool.
+// zero- or negative-chip fleet, an out-of-range fault gradient, and bad
+// serving knobs all fail fast at startup instead of panicking (or silently
+// misbehaving) deep inside the scheduler. Zero -kv-pages stays valid — it
+// selects the documented slab-equivalent pool.
 func TestFleetOptionsValidation(t *testing.T) {
 	parseFleet := func(args []string) (*FleetOptions, error) {
 		var f FleetOptions
@@ -235,7 +235,6 @@ func TestFleetOptionsValidation(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-chips", "0"},
 		{"-chips", "-3"},
-		{"-replicas", "-1"},
 		{"-fault-gradient", "-0.1"},
 		{"-fault-gradient", "1.5"},
 		{"-policy", "coinflip"},

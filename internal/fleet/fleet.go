@@ -1,9 +1,8 @@
 // Package fleet is the multi-chip deployment layer over the experiment
-// engine: a simulated N-chip fleet where a model's layers are sharded
-// across chips with independent fault/drift/G_max realizations, replicas of
-// one logical deployment live on heterogeneous chips (aged next to fresh,
-// different fault rates), and a router picks a replica per request by
-// health and in-flight load.
+// engine: a simulated N-chip fleet where every chip hosts one replica of
+// each logical deployment under its own fault/drift/G_max realization
+// (aged next to fresh, different fault rates), and a router picks a
+// replica per request by health and in-flight load.
 //
 // Determinism contract: each chip's hardware state is keyed by extending
 // the engine content key with the chip ID (engine.Request.Chip), so a
@@ -21,7 +20,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nora/internal/analog"
 	"nora/internal/core"
@@ -164,62 +162,29 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// DefaultHealthWeight converts a replica's health penalty (a small fault
-// fraction) into the units of the load term (in-flight requests): at the
-// default, a one-percent residual-error fraction outweighs one queued
-// request.
-const DefaultHealthWeight = 100
+// HealthWeight converts a replica's health penalty (a small fault
+// fraction) into the units of the load term (in-flight requests): a
+// one-percent residual-error fraction outweighs one queued request.
+const HealthWeight = 100
 
 // Config assembles a fleet. The zero value is the implicit single-chip
-// fleet: one fresh chip with an empty ID, one replica, bit-identical to
-// fleet-unaware deployment.
+// fleet: one fresh chip with an empty ID, bit-identical to fleet-unaware
+// deployment.
 type Config struct {
-	// Chips lists the fleet's chips. Empty selects one implicit chip
-	// (zero ChipSpec).
+	// Chips lists the fleet's chips; replica i of every deployment lives
+	// on chip i. Empty selects one implicit chip (zero ChipSpec).
 	Chips []ChipSpec
-	// Replicas is the number of replicas per deployment. <= 0 selects
-	// one replica per ShardWidth chips (every chip hosts exactly one
-	// shard of one replica).
-	Replicas int
-	// ShardWidth is the number of chips one replica's layers are sharded
-	// across (round-robin by layer). <= 0 selects 1 (unsharded).
-	ShardWidth int
 	// Policy selects the routing policy. The zero value is RoundRobin;
 	// production callers generally want HealthAware (ParsePolicy's
 	// empty-string default).
 	Policy Policy
-	// HealthWeight scales the health penalty against the in-flight load
-	// term. <= 0 selects DefaultHealthWeight.
-	HealthWeight float64
-}
-
-func (c Config) withDefaults() Config {
-	if len(c.Chips) == 0 {
-		c.Chips = []ChipSpec{{}}
-	}
-	if c.ShardWidth <= 0 {
-		c.ShardWidth = 1
-	}
-	if c.ShardWidth > len(c.Chips) {
-		c.ShardWidth = len(c.Chips)
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = len(c.Chips) / c.ShardWidth
-		if c.Replicas < 1 {
-			c.Replicas = 1
-		}
-	}
-	if c.HealthWeight <= 0 {
-		c.HealthWeight = DefaultHealthWeight
-	}
-	return c
 }
 
 // Fleet owns the chips and the deployed groups. Safe for concurrent use.
 type Fleet struct {
-	eng   *engine.Engine
-	cfg   Config
-	chips []*Chip
+	eng    *engine.Engine
+	policy Policy
+	chips  []*Chip
 
 	mu     sync.Mutex
 	groups map[string]*Group
@@ -229,10 +194,13 @@ type Fleet struct {
 // overlays — it is the promise that a 1-chip fleet keys identically to the
 // legacy single-chip path — and chip IDs must be unique.
 func New(eng *engine.Engine, cfg Config) *Fleet {
-	cfg = cfg.withDefaults()
-	seen := make(map[string]bool, len(cfg.Chips))
-	chips := make([]*Chip, len(cfg.Chips))
-	for i, spec := range cfg.Chips {
+	specs := cfg.Chips
+	if len(specs) == 0 {
+		specs = []ChipSpec{{}}
+	}
+	seen := make(map[string]bool, len(specs))
+	chips := make([]*Chip, len(specs))
+	for i, spec := range specs {
 		if spec.ID == "" && spec != (ChipSpec{}) {
 			panic(fmt.Sprintf("fleet: chip %d has config overlays but no ID; name it so its hardware state keys apart", i))
 		}
@@ -244,17 +212,11 @@ func New(eng *engine.Engine, cfg Config) *Fleet {
 	}
 	return &Fleet{
 		eng:    eng,
-		cfg:    cfg,
+		policy: cfg.Policy,
 		chips:  chips,
 		groups: make(map[string]*Group),
 	}
 }
-
-// Engine returns the underlying deployment engine.
-func (f *Fleet) Engine() *engine.Engine { return f.eng }
-
-// Config returns the fleet's resolved (defaulted) configuration.
-func (f *Fleet) Config() Config { return f.cfg }
 
 // Chips returns the fleet's chips in configuration order.
 func (f *Fleet) Chips() []*Chip { return f.chips }
@@ -269,10 +231,9 @@ func (f *Fleet) Chip(id string) *Chip {
 	return nil
 }
 
-// Deploy builds (or returns the cached) replica group for req: Replicas
-// replicas, each sharding the model's layers across ShardWidth chips, every
-// chip realizing its own independent fault/drift/G_max draws via its keyed
-// engine deployment. Panics propagate from engine.Deploy (shape-guard
+// Deploy builds (or returns the cached) replica group for req: one replica
+// per chip, each realizing the chip's own fault/drift/G_max draws via its
+// keyed engine deployment. Panics propagate from engine.Deploy (shape-guard
 // aliasing, invalid options); serving layers must recover them into error
 // responses.
 func (f *Fleet) Deploy(req engine.Request) *Group {
@@ -286,14 +247,9 @@ func (f *Fleet) Deploy(req engine.Request) *Group {
 
 	// Build outside the fleet lock: engine.Deploy coalesces concurrent
 	// builds per chip key, and a panic must not leave f.mu held.
-	g := &Group{fleet: f, req: req}
-	n := len(f.chips)
-	for i := 0; i < f.cfg.Replicas; i++ {
-		chips := make([]*Chip, 0, f.cfg.ShardWidth)
-		for k := 0; k < f.cfg.ShardWidth; k++ {
-			chips = append(chips, f.chips[(i*f.cfg.ShardWidth+k)%n])
-		}
-		g.replicas = append(g.replicas, f.buildReplica(i, req, chips))
+	g := &Group{policy: f.policy}
+	for i, chip := range f.chips {
+		g.replicas = append(g.replicas, f.buildReplica(i, req, chip))
 	}
 
 	f.mu.Lock()
@@ -317,114 +273,46 @@ func (f *Fleet) Groups() map[string]*Group {
 	return out
 }
 
-// chipRequest derives the engine request programming one chip: the chip ID
-// extends the content key (independent rng universe) and the spec overlays
-// the analog config. The implicit chip derives req itself, byte-identical.
-func chipRequest(req engine.Request, spec ChipSpec, layers []string) engine.Request {
-	cr := req
-	cr.Chip = spec.ID
-	cr.Config = spec.Apply(req.Config)
-	if layers != nil {
-		cr.Opt.Layers = layers
+// buildReplica programs replica idx onto chip. Digital deployments have no
+// chip-specific hardware state, so every digital replica shares the one
+// digital deployment. An analog replica's request carries the chip ID,
+// which extends the content key (an independent rng universe), and the
+// spec's overlays on the analog config; the implicit chip derives req
+// itself, byte-identical.
+func (f *Fleet) buildReplica(idx int, req engine.Request, chip *Chip) *Replica {
+	if req.Mode != core.DeployDigital {
+		req.Chip = chip.Spec.ID
+		req.Config = chip.Spec.Apply(req.Config)
 	}
-	return cr
+	dep := f.eng.Deploy(req)
+	return &Replica{Index: idx, chip: chip, req: req, dep: dep, health: healthOf(dep)}
 }
 
-// buildReplica programs replica idx onto its chips. Digital deployments
-// have no chip-specific hardware state, so every replica shares the one
-// digital deployment; analog replicas get one keyed deployment per chip.
-// With ShardWidth > 1 the model's analog layers are partitioned round-robin
-// across the replica's chips and stitched back into one composite runner.
-func (f *Fleet) buildReplica(idx int, req engine.Request, chips []*Chip) *Replica {
-	r := &Replica{Index: idx, fleet: f, chips: chips}
-	switch {
-	case req.Mode == core.DeployDigital:
-		r.reqs = []engine.Request{req}
-		dep := f.eng.Deploy(req)
-		r.deps = []*engine.Deployment{dep}
-		r.runner = dep.Runner()
-	case len(chips) == 1:
-		cr := chipRequest(req, chips[0].Spec, nil)
-		r.reqs = []engine.Request{cr}
-		dep := f.eng.Deploy(cr)
-		r.deps = []*engine.Deployment{dep}
-		r.runner = dep.Runner()
-	default:
-		shards := shardLayers(req, len(chips))
-		r.reqs = make([]engine.Request, len(chips))
-		r.deps = make([]*engine.Deployment, len(chips))
-		for k, chip := range chips {
-			r.reqs[k] = chipRequest(req, chip.Spec, shards[k])
-			r.deps[k] = f.eng.Deploy(r.reqs[k])
-		}
-		r.runner = compositeRunner(req.Net, r.reqs, r.deps)
-	}
-	r.health = healthOf(r.deps)
-	return r
-}
-
-// shardLayers partitions the deployment's analog layer set round-robin
-// across width chips. An existing Opt.Layers restriction is partitioned;
-// otherwise every linear layer of the network is.
-func shardLayers(req engine.Request, width int) [][]string {
-	var names []string
-	if len(req.Opt.Layers) > 0 {
-		names = req.Opt.Layers
-	} else {
-		for _, spec := range req.Net.Linears() {
-			names = append(names, spec.Name)
-		}
-	}
-	shards := make([][]string, width)
-	for i, name := range names {
-		shards[i%width] = append(shards[i%width], name)
-	}
-	return shards
-}
-
-// compositeRunner stitches per-chip deployments back into one runner: each
-// shard's analog operators are taken from the chip that programmed them;
-// layers no chip mapped stay digital.
-func compositeRunner(net *nn.Model, reqs []engine.Request, deps []*engine.Deployment) *nn.Runner {
-	runner := nn.NewRunner(net)
-	for k, dep := range deps {
-		for _, name := range reqs[k].Opt.Layers {
-			runner.SetLinear(name, dep.Runner().Linear(name))
-		}
-	}
-	return runner
-}
-
-// healthOf derives the replica health penalty from its deployments' fault
+// healthOf derives the replica health penalty from its deployment's fault
 // statistics: residual (post-mitigation) error dominates, raw stuck
 // fraction breaks ties. 0 is perfectly healthy; typical faulty chips score
-// small fractions — Config.HealthWeight converts them into load units.
-func healthOf(deps []*engine.Deployment) float64 {
-	var fs analog.FaultStats
-	for _, dep := range deps {
-		fs.Add(dep.FaultStats())
-	}
+// small fractions — HealthWeight converts them into load units.
+func healthOf(dep *engine.Deployment) float64 {
+	fs := dep.FaultStats()
 	return 8*fs.UnfixedFraction() + fs.StuckFraction()
 }
 
-// ErrNoReplica is returned by Acquire when every replica has at least one
-// chip out of service.
+// ErrNoReplica is returned by Acquire when every chip is out of service.
 var ErrNoReplica = errors.New("fleet: no replica available (all chips draining or down)")
 
 // Group is the fleet-level handle on one logical deployment: the replicas
 // plus the router state.
 type Group struct {
-	fleet    *Fleet
-	req      engine.Request
+	policy   Policy
 	replicas []*Replica
 	rr       atomic.Int64
 }
 
-// Replicas returns the group's replicas in index order.
+// Replicas returns the group's replicas in chip order.
 func (g *Group) Replicas() []*Replica { return g.replicas }
 
 // Acquire routes one request: picks a replica under the fleet's policy
-// (router.go), charges the in-flight load to it and its chips, and returns
+// (router.go), charges the in-flight load to it and its chip, and returns
 // it with an idempotent release. Callers must call release when the request
 // finishes (success or not).
 func (g *Group) Acquire() (*Replica, func(), error) {
@@ -436,7 +324,7 @@ func (g *Group) Acquire() (*Replica, func(), error) {
 			Health:    r.HealthScore(),
 		}
 	}
-	idx := Pick(g.fleet.cfg.Policy, g.rr.Add(1)-1, g.fleet.cfg.HealthWeight, cands)
+	idx := Pick(g.policy, g.rr.Add(1)-1, cands)
 	if idx < 0 {
 		return nil, nil, ErrNoReplica
 	}
@@ -446,146 +334,75 @@ func (g *Group) Acquire() (*Replica, func(), error) {
 	return rep, func() { once.Do(rep.release) }, nil
 }
 
-// Replica is one copy of a deployment living on one or more chips. deps and
-// runner are swapped atomically (under mu) when a chip is re-programmed;
-// the routing counters are independent atomics.
+// Replica is one copy of a deployment living on one chip. dep and health
+// are swapped together (under mu) when the chip is re-programmed; the
+// routing counter is an independent atomic.
 type Replica struct {
 	Index int
 
-	fleet *Fleet
-	chips []*Chip
+	chip *Chip
+	req  engine.Request // build template; re-programming re-derives from it
 
 	mu     sync.RWMutex
-	reqs   []engine.Request // per-chip build templates (reprogramming re-derives from these)
-	deps   []*engine.Deployment
-	runner *nn.Runner
+	dep    *engine.Deployment
 	health float64
 
 	inflight atomic.Int64
-	served   atomic.Int64
 }
 
-// Chips returns the chips hosting this replica.
-func (r *Replica) Chips() []*Chip { return r.chips }
+// Chip returns the chip hosting this replica.
+func (r *Replica) Chip() *Chip { return r.chip }
 
-// Available reports whether every hosting chip is up.
-func (r *Replica) Available() bool {
-	for _, c := range r.chips {
-		if c.State() != ChipUp {
-			return false
-		}
-	}
-	return true
-}
+// ChipID returns the chip ID keying the replica's deployment: "" for the
+// implicit chip and for digital replicas, which have no chip-specific
+// hardware state.
+func (r *Replica) ChipID() string { return r.req.Chip }
+
+// Available reports whether the hosting chip is up.
+func (r *Replica) Available() bool { return r.chip.State() == ChipUp }
 
 // Inflight returns the requests currently charged to the replica.
 func (r *Replica) Inflight() int64 { return r.inflight.Load() }
 
-// Served returns the requests routed to the replica so far.
-func (r *Replica) Served() int64 { return r.served.Load() }
-
 // HealthScore is the replica's current health penalty (0 = perfectly
-// healthy; see healthOf). Recomputed whenever a hosting chip re-programs.
+// healthy; see healthOf). Recomputed whenever the chip re-programs.
 func (r *Replica) HealthScore() float64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.health
 }
 
-// Runner returns the replica's current runner (the single chip's deployed
-// runner, or the sharded composite). Treat as read-only.
-func (r *Replica) Runner() *nn.Runner {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.runner
-}
-
-// Deployments returns the replica's current per-chip deployments, aligned
-// with Chips() (a single shared deployment for digital replicas).
-func (r *Replica) Deployments() []*engine.Deployment {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*engine.Deployment, len(r.deps))
-	copy(out, r.deps)
-	return out
-}
-
-// ChipIDs returns the chip ID keying each entry of Deployments(), in the
-// same order ("" for the implicit chip and for digital deployments, which
-// have no chip-specific hardware state).
-func (r *Replica) ChipIDs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := make([]string, len(r.reqs))
-	for i, rq := range r.reqs {
-		ids[i] = rq.Chip
-	}
-	return ids
-}
-
-// Dep returns the replica's first deployment — the whole deployment for
-// unsharded replicas, and the stats anchor for sharded ones.
+// Dep returns the replica's current deployment (shared by every replica
+// for digital deployments).
 func (r *Replica) Dep() *engine.Deployment {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.deps[0]
+	return r.dep
 }
 
-// FaultStats aggregates fault statistics across the replica's deployments.
-func (r *Replica) FaultStats() analog.FaultStats {
-	var total analog.FaultStats
-	for _, dep := range r.Deployments() {
-		total.Add(dep.FaultStats())
-	}
-	return total
-}
+// Runner returns the replica's current deployed runner. Treat as
+// read-only.
+func (r *Replica) Runner() *nn.Runner { return r.Dep().Runner() }
 
-// OpCounters aggregates hardware-event counters across the replica's
-// deployments.
-func (r *Replica) OpCounters() analog.OpCounters {
-	var total analog.OpCounters
-	for _, dep := range r.Deployments() {
-		total.Add(dep.OpCounters())
-	}
-	return total
-}
+// OpCounters returns the hardware-event counters of the replica's current
+// deployment.
+func (r *Replica) OpCounters() analog.OpCounters { return r.Dep().OpCounters() }
 
-// RecordGenStep forwards generation-step accounting to the engine (via the
-// replica's anchor deployment).
-func (r *Replica) RecordGenStep(batch, prefillTokens int, elapsed time.Duration, reads int64) {
-	r.Dep().RecordGenStep(batch, prefillTokens, elapsed, reads)
-}
-
-// EvalCtx evaluates the sequence set on the replica. Unsharded replicas
-// ride the deployment's memoized EvalCtx (bit-identical to the offline
-// path); sharded composites evaluate through the stitched runner (same
-// determinism contract, no memoization across calls).
+// EvalCtx evaluates the sequence set on the replica's current deployment,
+// through its memoized EvalCtx (bit-identical to the offline path).
 func (r *Replica) EvalCtx(ctx context.Context, sequences [][]int) (nn.EvalResult, error) {
-	r.mu.RLock()
-	single := len(r.deps) == 1
-	dep := r.deps[0]
-	runner := r.runner
-	r.mu.RUnlock()
-	if single {
-		return dep.EvalCtx(ctx, sequences)
-	}
-	return runner.EvalCtx(ctx, sequences, r.fleet.eng.EvalWorkers())
+	return r.Dep().EvalCtx(ctx, sequences)
 }
 
-// acquire charges one in-flight request to the replica and its chips.
+// acquire charges one in-flight request to the replica and its chip.
 func (r *Replica) acquire() {
 	r.inflight.Add(1)
-	r.served.Add(1)
-	for _, c := range r.chips {
-		c.inflight.Add(1)
-		c.served.Add(1)
-	}
+	r.chip.inflight.Add(1)
+	r.chip.served.Add(1)
 }
 
 // release undoes acquire.
 func (r *Replica) release() {
 	r.inflight.Add(-1)
-	for _, c := range r.chips {
-		c.inflight.Add(-1)
-	}
+	r.chip.inflight.Add(-1)
 }

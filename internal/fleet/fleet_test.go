@@ -96,11 +96,11 @@ func TestChipDrawsIndependentOfFleetComposition(t *testing.T) {
 		{ID: "c0"}, chip, {ID: "c2", FaultRate: 0.01}, {ID: "c3", DriftT: 3600},
 	}})
 
-	fsSmall := small.Deploy(req).Replicas()[0].FaultStats()
+	fsSmall := small.Deploy(req).Replicas()[0].Dep().FaultStats()
 	var fsBig analog.FaultStats
 	for _, r := range big.Deploy(req).Replicas() {
-		if r.Chips()[0].Spec.ID == "c1" {
-			fsBig = r.FaultStats()
+		if r.Chip().Spec.ID == "c1" {
+			fsBig = r.Dep().FaultStats()
 		}
 	}
 	if fsSmall != fsBig {
@@ -115,58 +115,46 @@ func TestChipDrawsIndependentOfFleetComposition(t *testing.T) {
 		{ID: "a", FaultRate: 0.05}, {ID: "b", FaultRate: 0.05},
 	}})
 	reps := twin.Deploy(req).Replicas()
-	if reps[0].FaultStats() == reps[1].FaultStats() && reps[0].Dep().Seed == reps[1].Dep().Seed {
+	if reps[0].Dep().FaultStats() == reps[1].Dep().FaultStats() && reps[0].Dep().Seed == reps[1].Dep().Seed {
 		t.Fatal("two chips with distinct IDs shared one fault realization")
 	}
 }
 
-// Sharded replicas: layers partition round-robin across the replica's
-// chips, the composite runner evaluates deterministically, and each shard
-// is programmed under its own chip key.
-func TestShardedReplicaDeterministic(t *testing.T) {
+// One replica per chip: replica i of every group lives on chip i, each
+// analog replica serves its own chip-keyed deployment, and every digital
+// replica shares the one digital deployment.
+func TestOneReplicaPerChip(t *testing.T) {
 	m := testModel(t)
-	eng := engine.New(engine.Config{})
-	f := New(eng, Config{
-		Chips:      []ChipSpec{{ID: "s0"}, {ID: "s1"}},
-		ShardWidth: 2,
-	})
-	req := testRequest(m)
-	seqs := testSeqs(8, 6)
-	g := f.Deploy(req)
-	if n := len(g.Replicas()); n != 1 {
-		t.Fatalf("2 chips / width 2 should build 1 replica, got %d", n)
-	}
-	rep := g.Replicas()[0]
-	if len(rep.Deployments()) != 2 {
-		t.Fatalf("sharded replica holds %d deployments, want 2", len(rep.Deployments()))
-	}
-	if rep.Deployments()[0].Seed == rep.Deployments()[1].Seed {
-		t.Fatal("shards on distinct chips must program under distinct seeds")
-	}
-	r1, err := rep.EvalCtx(context.Background(), seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := rep.EvalCtx(context.Background(), seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatalf("sharded eval not deterministic: %+v vs %+v", r1, r2)
-	}
-
-	// A second fleet over a fresh engine reproduces the same result —
-	// sharded hardware state is a pure function of the request + chip IDs.
-	f2 := New(engine.New(engine.Config{}), Config{
-		Chips:      []ChipSpec{{ID: "s0"}, {ID: "s1"}},
-		ShardWidth: 2,
-	})
-	r3, err := f2.Deploy(req).Replicas()[0].EvalCtx(context.Background(), seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3 != r1 {
-		t.Fatalf("sharded eval not reproducible across fleets: %+v vs %+v", r3, r1)
+	digital := testRequest(m)
+	digital.Mode, digital.Config = core.DeployDigital, analog.Config{}
+	for n := 1; n <= 4; n++ {
+		eng := engine.New(engine.Config{})
+		f := New(eng, Config{Chips: GradientChips(n, 0.05)})
+		analogReps := f.Deploy(testRequest(m)).Replicas()
+		digitalReps := f.Deploy(digital).Replicas()
+		if len(analogReps) != n || len(digitalReps) != n {
+			t.Fatalf("%d chips: %d analog and %d digital replicas, want %d each",
+				n, len(analogReps), len(digitalReps), n)
+		}
+		seen := make(map[*engine.Deployment]bool)
+		for i, chip := range f.Chips() {
+			a, d := analogReps[i], digitalReps[i]
+			if a.Index != i || d.Index != i || a.Chip() != chip || d.Chip() != chip {
+				t.Fatalf("%d chips: replica %d is not on chip %d", n, i, i)
+			}
+			want := testRequest(m)
+			want.Chip, want.Config = chip.Spec.ID, chip.Spec.Apply(want.Config)
+			if a.ChipID() != chip.Spec.ID || a.Dep() != eng.Deploy(want) {
+				t.Fatalf("%d chips: analog replica %d does not serve chip %q's keyed deployment", n, i, chip.Spec.ID)
+			}
+			if seen[a.Dep()] {
+				t.Fatalf("%d chips: analog replica %d shares a deployment", n, i)
+			}
+			seen[a.Dep()] = true
+			if d.ChipID() != "" || d.Dep() != eng.Deploy(digital) {
+				t.Fatalf("%d chips: digital replica %d does not share the digital deployment", n, i)
+			}
+		}
 	}
 }
 
@@ -193,7 +181,7 @@ func TestRouterPick(t *testing.T) {
 		{"empty", HealthAware, 0, nil, -1},
 	}
 	for _, tc := range cases {
-		if got := Pick(tc.policy, tc.rr, DefaultHealthWeight, tc.cands); got != tc.want {
+		if got := Pick(tc.policy, tc.rr, tc.cands); got != tc.want {
 			t.Errorf("%s: Pick = %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -213,7 +201,7 @@ func TestHealthAwareAvoidsFaultyChip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Chips()[0].Spec.ID != "fresh" {
+		if rep.Chip().Spec.ID != "fresh" {
 			t.Fatalf("health-aware router sent request %d to the worn chip (health %v vs %v)",
 				i, g.Replicas()[0].HealthScore(), g.Replicas()[1].HealthScore())
 		}
@@ -221,7 +209,7 @@ func TestHealthAwareAvoidsFaultyChip(t *testing.T) {
 	}
 	// With the fresh replica saturated, traffic spills to the worn one once
 	// its load exceeds the worn replica's weighted health penalty.
-	spillAt := int(DefaultHealthWeight*g.Replicas()[1].HealthScore()) + 10
+	spillAt := int(HealthWeight*g.Replicas()[1].HealthScore()) + 10
 	var releases []func()
 	for i := 0; i < spillAt; i++ {
 		rep, release, err := g.Acquire()
@@ -229,7 +217,7 @@ func TestHealthAwareAvoidsFaultyChip(t *testing.T) {
 			t.Fatal(err)
 		}
 		releases = append(releases, release)
-		if rep.Chips()[0].Spec.ID == "worn" {
+		if rep.Chip().Spec.ID == "worn" {
 			break
 		}
 	}
@@ -259,7 +247,7 @@ func TestDrainFailRestoreRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Chips()[0].Spec.ID != "b" {
+		if rep.Chip().Spec.ID != "b" {
 			t.Fatal("router sent traffic to a draining chip")
 		}
 		release()
@@ -281,7 +269,7 @@ func TestDrainFailRestoreRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Chips()[0].Spec.ID != "a" {
+	if rep.Chip().Spec.ID != "a" {
 		t.Fatal("restored chip did not return to rotation")
 	}
 	release()
@@ -301,7 +289,7 @@ func TestReprogramRealizesFreshFaults(t *testing.T) {
 	g := f.Deploy(req)
 	repA := g.Replicas()[0]
 	seedBefore := repA.Dep().Seed
-	fsBefore := repA.FaultStats()
+	fsBefore := repA.Dep().FaultStats()
 
 	if err := f.Reprogram(context.Background(), "a"); err != nil {
 		t.Fatal(err)
@@ -315,7 +303,7 @@ func TestReprogramRealizesFreshFaults(t *testing.T) {
 	if repA.Dep().Seed == seedBefore {
 		t.Fatal("reprogram did not re-key the chip's deployment")
 	}
-	if repA.FaultStats() == fsBefore && fsBefore.Stuck > 0 {
+	if repA.Dep().FaultStats() == fsBefore && fsBefore.Stuck > 0 {
 		t.Fatal("reprogram kept the identical fault realization (suspicious)")
 	}
 
@@ -350,7 +338,7 @@ func TestReprogramWaitsForInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := rep.Chips()[0].Spec.ID
+	id := rep.Chip().Spec.ID
 
 	done := make(chan error, 1)
 	go func() { done <- f.Reprogram(context.Background(), id) }()

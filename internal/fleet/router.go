@@ -1,10 +1,10 @@
 package fleet
 
-// Candidate is one replica's routing snapshot: whether every hosting chip
-// is up, the in-flight load, and the health penalty (0 = perfectly
-// healthy). Pick is a pure function over candidates so the live router
-// (Group.Acquire) and the harness's virtual-time fleet simulation (E24)
-// share one scoring implementation.
+// Candidate is one replica's routing snapshot: whether its chip is up, the
+// in-flight load, and the health penalty (0 = perfectly healthy). Pick is
+// a pure function over candidates so the live router (Group.Acquire) and
+// the harness's virtual-time fleet simulation (E24) share one scoring
+// implementation.
 type Candidate struct {
 	Available bool
 	Load      float64
@@ -16,9 +16,9 @@ type Candidate struct {
 //
 //   - RoundRobin starts at rr mod n and takes the first available
 //     candidate — blind to both load and health.
-//   - HealthAware minimizes load + healthWeight·health; ties break to the
+//   - HealthAware minimizes load + HealthWeight·health; ties break to the
 //     lowest index, so scoring is deterministic for a given snapshot.
-func Pick(policy Policy, rr int64, healthWeight float64, cands []Candidate) int {
+func Pick(policy Policy, rr int64, cands []Candidate) int {
 	n := len(cands)
 	if n == 0 {
 		return -1
@@ -30,7 +30,7 @@ func Pick(policy Policy, rr int64, healthWeight float64, cands []Candidate) int 
 			if !c.Available {
 				continue
 			}
-			score := c.Load + healthWeight*c.Health
+			score := c.Load + HealthWeight*c.Health
 			if best < 0 || score < bestScore {
 				best, bestScore = i, score
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nora/internal/core"
+	"nora/internal/engine"
 )
 
 // Scriptable failure scenarios. Two production situations the fleet layer
@@ -55,12 +56,11 @@ func (f *Fleet) awaitIdle(ctx context.Context, c *Chip) error {
 }
 
 // Reprogram cycles one chip through program-verify downtime: drain, wait
-// for in-flight work to finish, go down, re-program every deployment shard
-// hosted on the chip (a fresh fault/drift/G_max realization via a bumped
+// for in-flight work to finish, go down, re-program every replica hosted
+// on the chip (a fresh fault/drift/G_max realization via a bumped
 // deployment salt), then return to service. Traffic shifts to the surviving
-// replicas for the duration. Generation schedulers that captured the old
-// runner keep decoding on it (their KV caches are bound to it); new
-// acquisitions see the re-programmed hardware.
+// replicas for the duration; new acquisitions see the re-programmed
+// hardware.
 func (f *Fleet) Reprogram(ctx context.Context, id string) error {
 	c := f.Chip(id)
 	if c == nil {
@@ -76,7 +76,9 @@ func (f *Fleet) Reprogram(ctx context.Context, id string) error {
 	gen := c.reprograms.Add(1)
 	for _, g := range f.Groups() {
 		for _, r := range g.Replicas() {
-			r.reprogramChip(c, gen)
+			if r.chip == c {
+				r.reprogram(f.eng, gen)
+			}
 		}
 	}
 	c.state.Store(int32(ChipUp))
@@ -97,35 +99,20 @@ func (f *Fleet) RollingReprogram(ctx context.Context) error {
 	return nil
 }
 
-// reprogramChip rebuilds the replica's deployments hosted on chip with a
-// salt bumped by the chip's re-program generation, swapping the new
-// hardware state (and recomputed health) in atomically. Digital replicas
-// have no analog hardware to re-program.
-func (r *Replica) reprogramChip(chip *Chip, gen int64) {
-	r.mu.RLock()
-	digital := len(r.reqs) > 0 && r.reqs[0].Mode == core.DeployDigital
-	r.mu.RUnlock()
-	if digital {
+// reprogram rebuilds the replica's deployment with a salt bumped by its
+// chip's re-program generation, swapping the new hardware state (and
+// recomputed health) in atomically. Digital replicas have no analog
+// hardware to re-program.
+func (r *Replica) reprogram(eng *engine.Engine, gen int64) {
+	if r.req.Mode == core.DeployDigital {
 		return
 	}
-	for k, c := range r.chips {
-		if c != chip {
-			continue
-		}
-		r.mu.RLock()
-		newReq := r.reqs[k]
-		r.mu.RUnlock()
-		newReq.Salt = fmt.Sprintf("%s/reprog%d", newReq.Salt, gen)
-		dep := r.fleet.eng.Deploy(newReq)
+	req := r.req
+	req.Salt = fmt.Sprintf("%s/reprog%d", req.Salt, gen)
+	dep := eng.Deploy(req)
+	health := healthOf(dep)
 
-		r.mu.Lock()
-		r.deps[k] = dep
-		if len(r.deps) == 1 {
-			r.runner = dep.Runner()
-		} else {
-			r.runner = compositeRunner(newReq.Net, r.reqs, r.deps)
-		}
-		r.health = healthOf(r.deps)
-		r.mu.Unlock()
-	}
+	r.mu.Lock()
+	r.dep, r.health = dep, health
+	r.mu.Unlock()
 }

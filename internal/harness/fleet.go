@@ -91,7 +91,7 @@ func (s SimStats) Share(i int) float64 {
 // the replicas' live (load, health) snapshots — exactly the live router's
 // scoring — and occupies its replica FIFO for the replica's service time.
 // A pure function of its arguments: no randomness, no wall clock.
-func SimulateRouting(pol fleet.Policy, healthWeight float64, reps []SimReplica, requests int, gap float64) SimStats {
+func SimulateRouting(pol fleet.Policy, reps []SimReplica, requests int, gap float64) SimStats {
 	type state struct {
 		freeAt float64   // when the replica's FIFO drains
 		done   []float64 // outstanding completion times, ascending
@@ -113,7 +113,7 @@ func SimulateRouting(pol fleet.Policy, healthWeight float64, reps []SimReplica, 
 				Health:    reps[i].Health,
 			}
 		}
-		idx := fleet.Pick(pol, int64(k), healthWeight, cands)
+		idx := fleet.Pick(pol, int64(k), cands)
 		st := &sts[idx]
 		start := t
 		if st.freeAt > start {
@@ -153,7 +153,8 @@ type FleetRow struct {
 // replica's accuracy, and routes a fixed virtual request stream under both
 // policies. Deployments are engine-cached and content-keyed per chip, so a
 // chip that appears in several fleet sizes is programmed (and evaluated)
-// exactly once.
+// exactly once. A 1-chip fleet is the fresh implicit chip at every worst
+// rate, so size 1 runs at rate 0 only.
 func FleetSweep(eng *engine.Engine, ws []*Workload, base analog.Config, sizes []int, rates []float64, requests int, gap float64) []FleetRow {
 	if requests <= 0 {
 		requests = DefaultFleetRequests
@@ -166,6 +167,9 @@ func FleetSweep(eng *engine.Engine, ws []*Workload, base analog.Config, sizes []
 		prepareBaselines(eng, w)
 		for _, size := range sizes {
 			for _, rate := range rates {
+				if size == 1 && rate > 0 {
+					continue
+				}
 				flt := fleet.New(eng, fleet.Config{Chips: fleet.GradientChips(size, rate)})
 				grp := flt.Deploy(w.Request(core.DeployAnalogNORA, base, core.Options{}, ""))
 				reps := grp.Replicas()
@@ -181,12 +185,12 @@ func FleetSweep(eng *engine.Engine, ws []*Workload, base analog.Config, sizes []
 					profiles[i] = SimReplica{Health: h, Service: 1 + FleetServicePenalty*h}
 				}
 				for _, pol := range []fleet.Policy{fleet.RoundRobin, fleet.HealthAware} {
-					stats := SimulateRouting(pol, fleet.DefaultHealthWeight, profiles, requests, gap)
+					stats := SimulateRouting(pol, profiles, requests, gap)
 					var acc, worn float64
 					for i := range reps {
 						share := stats.Share(i)
 						acc += share * accs[i]
-						if reps[i].Chips()[0].Spec.FaultRate > 0 {
+						if reps[i].Chip().Spec.FaultRate > 0 {
 							worn += share
 						}
 					}
@@ -327,9 +331,7 @@ func fireDrill(grp *fleet.Group, n int) (map[string]int, error) {
 		if err != nil {
 			return served, err
 		}
-		for _, c := range rep.Chips() {
-			served[c.Spec.ID]++
-		}
+		served[rep.Chip().Spec.ID]++
 		release()
 	}
 	return served, nil

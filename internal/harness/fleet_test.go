@@ -14,7 +14,7 @@ import (
 // blind to health and load.
 func TestSimulateRoutingRoundRobin(t *testing.T) {
 	reps := []SimReplica{{Health: 0, Service: 1}, {Health: 5, Service: 2}}
-	stats := SimulateRouting(fleet.RoundRobin, fleet.DefaultHealthWeight, reps, 100, 2)
+	stats := SimulateRouting(fleet.RoundRobin, reps, 100, 2)
 	if stats.Served[0] != 50 || stats.Served[1] != 50 {
 		t.Fatalf("round-robin should alternate exactly: served %v", stats.Served)
 	}
@@ -28,11 +28,11 @@ func TestSimulateRoutingRoundRobin(t *testing.T) {
 // queue on the healthy replica eventually outweighs the health penalty and
 // traffic spills to the worn one.
 func TestSimulateRoutingHealthAware(t *testing.T) {
-	reps := []SimReplica{{Health: 0, Service: 1}, {Health: 1, Service: 1.5}}
+	reps := []SimReplica{{Health: 0, Service: 1}, {Health: 0.1, Service: 1.5}}
 
 	// Arrival gap 2 > service 1: the healthy replica is always idle when
 	// the next request lands, so nothing ever spills.
-	light := SimulateRouting(fleet.HealthAware, 10, reps, 50, 2)
+	light := SimulateRouting(fleet.HealthAware, reps, 50, 2)
 	if light.Served[1] != 0 {
 		t.Fatalf("light load should never touch the worn replica: served %v", light.Served)
 	}
@@ -41,8 +41,8 @@ func TestSimulateRoutingHealthAware(t *testing.T) {
 	}
 
 	// Gap 0: everything arrives at once, the healthy queue builds past
-	// weight·health = 10 and requests spill to the worn replica.
-	burst := SimulateRouting(fleet.HealthAware, 10, reps, 50, 0)
+	// HealthWeight·health = 10 and requests spill to the worn replica.
+	burst := SimulateRouting(fleet.HealthAware, reps, 50, 0)
 	if burst.Served[0] == 0 || burst.Served[1] == 0 {
 		t.Fatalf("burst should spill across both replicas: served %v", burst.Served)
 	}
@@ -57,9 +57,9 @@ func TestSimulateRoutingHealthAware(t *testing.T) {
 // TestSimulateRoutingDeterministic pins that the sim is a pure function:
 // identical inputs give identical stats, including the saturation regime.
 func TestSimulateRoutingDeterministic(t *testing.T) {
-	reps := []SimReplica{{Health: 0.2, Service: 1.1}, {Health: 0, Service: 1}}
-	a := SimulateRouting(fleet.HealthAware, 50, reps, 300, 0.4)
-	b := SimulateRouting(fleet.HealthAware, 50, reps, 300, 0.4)
+	reps := []SimReplica{{Health: 0.1, Service: 1.1}, {Health: 0, Service: 1}}
+	a := SimulateRouting(fleet.HealthAware, reps, 300, 0.4)
+	b := SimulateRouting(fleet.HealthAware, reps, 300, 0.4)
 	if a.MeanWait != b.MeanWait || a.MaxWait != b.MaxWait || a.Served[0] != b.Served[0] {
 		t.Fatalf("sim not deterministic: %+v vs %+v", a, b)
 	}
@@ -86,7 +86,9 @@ func TestFleetSweep(t *testing.T) {
 		return FleetSweep(engine.New(engine.Config{}), ws, base, sizes, rates, 200, 0.6)
 	}
 	rows := run()
-	if want := len(sizes) * len(rates) * 2; len(rows) != want {
+	// A 1-chip fleet is the fresh implicit chip whatever the worst rate, so
+	// size 1 runs at rate 0 only: 2 policies × (1 + 2) points.
+	if want := 6; len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	byKey := func(chips int, rate float64, policy string) FleetRow {
@@ -106,8 +108,8 @@ func TestFleetSweep(t *testing.T) {
 		if r.Accuracy <= 0 || r.Accuracy > 1 {
 			t.Errorf("row %+v: served accuracy out of range", r)
 		}
-		if r.Chips == 1 && r.WornShare != 0 {
-			t.Errorf("row %+v: a 1-chip fleet is the fresh implicit chip", r)
+		if r.Chips == 1 && (r.WornShare != 0 || r.WorstRate > 0) {
+			t.Errorf("row %+v: a 1-chip fleet is the fresh implicit chip, with no worst rate", r)
 		}
 	}
 

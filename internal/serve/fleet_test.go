@@ -175,7 +175,7 @@ func TestChipsEndpoint(t *testing.T) {
 	}
 	var worn *fleet.Replica
 	for _, rep := range grp.Replicas() {
-		if rep.Chips()[0].Spec.ID == "b" {
+		if rep.Chip().Spec.ID == "b" {
 			worn = rep
 		}
 	}
@@ -204,6 +204,56 @@ func TestChipsEndpoint(t *testing.T) {
 	}
 	if code, _, _ := do(t, s, http.MethodDelete, "/v1/chips", ""); code != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE chips: %d, want 405", code)
+	}
+}
+
+// TestGenerateFollowsReprogram is the regression test for generation
+// decoding on pre-reprogram hardware for good: the scheduler built its
+// generator from the replica's runner once, at start-up, so after a chip
+// re-programmed, /v1/predict and /v1/eval read the new realization while
+// every later /v1/generate on that chip still read the old one.
+func TestGenerateFollowsReprogram(t *testing.T) {
+	s := testFleetServer(t)
+	defer s.Close()
+	prompt := []int{1, 2, 3, 4}
+	const n = 12
+	body := fmt.Sprintf(`{"model":"tiny","mode":"naive","prompt":[1,2,3,4],"max_tokens":%d}`, n)
+	grp, err := s.group(s.workloads["tiny"], core.DeployAnalogNaive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worn := grp.Replicas()[1] // replica 1 lives on chip b
+	greedy := func() []int {
+		return nn.NewGenerator(worn.Runner().WithNoiseScope(genScope(prompt))).Greedy(prompt, n)
+	}
+	generate := func() []int {
+		t.Helper()
+		code, events, errBody := doGenerate(t, s, body)
+		if code != http.StatusOK {
+			t.Fatalf("generate: %d %v", code, errBody)
+		}
+		return tokensOf(events)
+	}
+
+	// Drain a so every request lands on b, and start b's scheduler.
+	if code, body, _ := do(t, s, http.MethodPost, "/v1/chips", `{"chip":"a","action":"drain"}`); code != http.StatusOK {
+		t.Fatalf("drain: %d %v", code, body)
+	}
+	old := greedy()
+	if got := generate(); fmt.Sprint(got) != fmt.Sprint(old) {
+		t.Fatalf("generate on chip b streamed %v, want %v", got, old)
+	}
+
+	if code, body, _ := do(t, s, http.MethodPost, "/v1/chips", `{"chip":"b","action":"reprogram"}`); code != http.StatusOK {
+		t.Fatalf("reprogram: %d %v", code, body)
+	}
+	want := greedy()
+	if fmt.Sprint(want) == fmt.Sprint(old) {
+		t.Fatalf("re-programming chip b left its greedy stream at %v (vacuous test)", old)
+	}
+	if got := generate(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("generate after re-programming chip b streamed %v, want the new realization's %v (the old one streamed %v)",
+			got, want, old)
 	}
 }
 

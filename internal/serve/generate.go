@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nora/internal/core"
+	"nora/internal/engine"
 	"nora/internal/fleet"
 	"nora/internal/harness"
 	"nora/internal/nn"
@@ -101,7 +102,7 @@ type genScheduler struct {
 
 // genSchedulerFor returns (creating and starting on first use) the
 // generation scheduler for one workload, mode, and routed replica (each
-// replica decodes on its own simulated chip(s), so each has its own
+// replica decodes on its own simulated chip, so each has its own
 // scheduler and KV pool).
 func (s *Server) genSchedulerFor(wl *harness.Workload, mode core.DeployMode, rep *fleet.Replica) (*genScheduler, error) {
 	key := fmt.Sprintf("%s/%s#%d", wl.Spec.Key, mode, rep.Index)
@@ -173,25 +174,36 @@ func (j *genJob) finish(reason string, errText string) {
 // in-flight batch retire with "shutdown" finals (generation is not drained
 // to completion — a decode can be arbitrarily long).
 //
-// The generator captures the replica's runner once: live KV caches are
-// bound to it, so a chip re-programming mid-decode does not swap hardware
-// under running sequences — they finish on the realization they started
-// on, and sequences admitted after the scheduler restarts see the new one.
+// Live KV caches are bound to the runner that filled them, so a chip
+// re-programming mid-decode does not swap hardware under running
+// sequences: they finish on the realization they started on. Once the
+// batch is empty the scheduler re-reads the replica's deployment and
+// rebuilds its generator on the new realization; a job that arrives while
+// old-realization sequences are still retiring waits for them.
 func (g *genScheduler) loop() {
 	defer g.srv.wg.Done()
-	bg := nn.NewBatchGeneratorPaged(g.rep.Runner(), g.srv.cfg.MaxDecodeBatch, 0, g.srv.cfg.KVPages)
+	var dep *engine.Deployment // the realization bg decodes on
+	var bg *nn.BatchGenerator
 	var active []*genSeq
 	var parked *genJob // pulled from the queue, waiting on a KV slot or pages
 	for {
 		if len(active) == 0 && parked == nil {
 			select {
-			case job := <-g.queue:
-				active, parked = g.admit(bg, active, job)
+			case parked = <-g.queue:
 			case <-g.stop:
 				g.shutdown(active, parked)
 				return
 			}
-			continue
+		}
+		if cur := g.rep.Dep(); cur != dep {
+			if len(active) > 0 {
+				// Old-realization sequences are still retiring: admit
+				// nothing until they have.
+				active = g.step(dep, bg, active)
+				continue
+			}
+			dep = cur
+			bg = nn.NewBatchGeneratorPaged(dep.Runner(), g.srv.cfg.MaxDecodeBatch, 0, g.srv.cfg.KVPages)
 		}
 		// Step boundary: retry the parked job first (admission stays FIFO),
 		// then drain the queue while slots last.
@@ -212,7 +224,7 @@ func (g *genScheduler) loop() {
 				break fill
 			}
 		}
-		active = g.step(bg, active)
+		active = g.step(dep, bg, active)
 	}
 }
 
@@ -280,8 +292,9 @@ func (g *genScheduler) admit(bg *nn.BatchGenerator, active []*genSeq, job *genJo
 // the request's TTFT); mid-prompt rows return no usable logits and just
 // advance their pending cursor. Canceled sequences — mid-prefill or not —
 // are retired before the pass, releasing every reserved KV page
-// immediately.
-func (g *genScheduler) step(bg *nn.BatchGenerator, active []*genSeq) []*genSeq {
+// immediately. The step's analog reads are counted on dep, the deployment
+// whose runner bg decodes on.
+func (g *genScheduler) step(dep *engine.Deployment, bg *nn.BatchGenerator, active []*genSeq) []*genSeq {
 	live := active[:0]
 	for _, seq := range active {
 		if seq.job.ctx.Err() != nil {
@@ -339,7 +352,7 @@ func (g *genScheduler) step(bg *nn.BatchGenerator, active []*genSeq) []*genSeq {
 		segs = append(segs, nn.StepSeg{Slot: seq.slot, Tokens: seq.pending[:alloc[i]]})
 		rows = append(rows, seq)
 	}
-	reads0 := g.rep.OpCounters().MVMs
+	reads0 := dep.OpCounters().MVMs
 	start := time.Now()
 	logits, err := bg.StepSegs(segs)
 	elapsed := time.Since(start)
@@ -350,7 +363,7 @@ func (g *genScheduler) step(bg *nn.BatchGenerator, active []*genSeq) []*genSeq {
 		}
 		return live[:0]
 	}
-	g.rep.RecordGenStep(decodeRows, prefillTokens, elapsed, g.rep.OpCounters().MVMs-reads0)
+	dep.RecordGenStep(decodeRows, prefillTokens, elapsed, dep.OpCounters().MVMs-reads0)
 	g.srv.stepHist.observe(elapsed, false)
 	for {
 		old := g.srv.genMaxBatch.Load()
@@ -494,7 +507,7 @@ func (s *Server) generate(w http.ResponseWriter, r *http.Request, start time.Tim
 		return http.StatusServiceUnavailable, errorBody{Error: err.Error()}
 	}
 	// The handler streams until the final event, so the request stays
-	// charged to the replica (and its chips) for the whole generation — a
+	// charged to the replica (and its chip) for the whole generation — a
 	// chip drain waits for every admitted stream to finish.
 	defer release()
 

@@ -404,14 +404,14 @@ func TestGenerateMidPrefillCancelFreesPages(t *testing.T) {
 	if bg.FreePages() != 0 {
 		t.Fatalf("admission must reserve the full budget up front, free=%d", bg.FreePages())
 	}
-	active = g.step(bg, active) // consumes PrefillChunk=2 of 14 prompt tokens
+	active = g.step(rep.Dep(), bg, active) // consumes PrefillChunk=2 of 14 prompt tokens
 	if len(active) != 1 || len(active[0].pending) != 12 {
 		t.Fatalf("after one chunked step: active=%d pending=%d", len(active), len(active[0].pending))
 	}
 
 	canceled0 := s.genCanceled.Load()
 	cancel()
-	active = g.step(bg, active) // retired before the pass, mid-prefill
+	active = g.step(rep.Dep(), bg, active) // retired before the pass, mid-prefill
 	if len(active) != 0 {
 		t.Fatalf("canceled mid-prefill sequence still active: %d", len(active))
 	}

@@ -18,8 +18,8 @@
 //	                    reprogram, rolling-reprogram (admin)
 //
 // Requests route through a fleet (internal/fleet): every deployment is a
-// replica group over N simulated chips, each chip realizing independent
-// fault/drift/G_max draws under its own content key. The router picks a
+// replica group with one replica on each of N simulated chips, each chip
+// realizing independent fault/drift/G_max draws under its own content key. The router picks a
 // replica per request by chip availability plus (under the health-aware
 // policy) in-flight load and fault-derived health, so draining or failing
 // a chip shifts traffic to survivors with zero dropped in-flight requests.
@@ -117,8 +117,8 @@ type Config struct {
 	// value selects analog.PaperPreset().
 	Analog analog.Config
 	// Fleet describes the simulated chip fleet requests route through. The
-	// zero value is one implicit fresh chip with a single replica —
-	// bit-identical to the pre-fleet server.
+	// zero value is one implicit fresh chip — bit-identical to the
+	// pre-fleet server.
 	Fleet fleet.Config
 }
 
@@ -430,7 +430,7 @@ func (s *Server) predict(r *http.Request, start time.Time) (int, any) {
 	if err != nil {
 		return http.StatusServiceUnavailable, errorBody{Error: err.Error()}
 	}
-	// The request stays charged to the replica (and its chips) until the
+	// The request stays charged to the replica (and its chip) until the
 	// handler returns, so a chip drain waits for every admitted predict.
 	defer release()
 
@@ -647,9 +647,8 @@ type ChipStatz struct {
 
 // FleetStatz is the multi-chip fleet section of /statz.
 type FleetStatz struct {
-	Policy   string      `json:"policy"`
-	Replicas int         `json:"replicas"`
-	Chips    []ChipStatz `json:"chips"`
+	Policy string      `json:"policy"`
+	Chips  []ChipStatz `json:"chips"`
 }
 
 // Statz is the /statz JSON document.
@@ -690,28 +689,24 @@ func (s *Server) fleetSnapshot() (FleetStatz, map[string]analog.CostComparison, 
 	seen := make(map[*engine.Deployment]bool)
 	for key, grp := range groups {
 		for _, rep := range grp.Replicas() {
-			deps := rep.Deployments()
-			ids := rep.ChipIDs()
-			for k, dep := range deps {
-				ck := key
-				if ids[k] != "" {
-					ck = key + "@" + ids[k]
-				}
-				depCost[ck] = dep.CostComparison()
-				if seen[dep] {
-					continue
-				}
-				seen[dep] = true
-				fs := dep.FaultStats()
-				faults.Add(fs)
-				cf := chipFaults[ids[k]]
-				cf.Add(fs)
-				chipFaults[ids[k]] = cf
+			dep, id := rep.Dep(), rep.ChipID()
+			ck := key
+			if id != "" {
+				ck = key + "@" + id
 			}
+			depCost[ck] = dep.CostComparison()
+			if seen[dep] {
+				continue
+			}
+			seen[dep] = true
+			fs := dep.FaultStats()
+			faults.Add(fs)
+			cf := chipFaults[id]
+			cf.Add(fs)
+			chipFaults[id] = cf
 		}
 	}
-	cfg := s.flt.Config()
-	fs := FleetStatz{Policy: cfg.Policy.String(), Replicas: cfg.Replicas}
+	fs := FleetStatz{Policy: s.cfg.Fleet.Policy.String()}
 	for _, c := range s.flt.Chips() {
 		fs.Chips = append(fs.Chips, ChipStatz{
 			ID:         c.Spec.ID,
