@@ -326,6 +326,22 @@ func BenchmarkCalibration(b *testing.B) {
 
 // ---- E22: continuous-batching decode throughput -------------------------
 
+// admitPrompt claims a slot reserving pages for budget tokens (≤ 0: the
+// full window) and prefills the whole prompt in one pass, returning the
+// logits after its last token.
+func admitPrompt(bg *nn.BatchGenerator, prompt []int, scope string, budget int) (int, []float32, error) {
+	slot, err := bg.Begin(scope, budget)
+	if err != nil {
+		return -1, nil, err
+	}
+	logits, err := bg.StepSegs([]nn.StepSeg{{Slot: slot, Tokens: prompt}})
+	if err != nil {
+		bg.Release(slot)
+		return -1, nil, err
+	}
+	return slot, logits.Row(0), nil
+}
+
 func bestToken(logits []float32) int {
 	best := 0
 	for i, v := range logits {
@@ -373,11 +389,12 @@ func benchmarkDecode(b *testing.B, width int) {
 	prompt := []int{1, 2}
 	ids := make([]int, width)
 	toks := make([]int, width)
+	segs := make([]nn.StepSeg, width)
 	var tokens int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for s := 0; s < width; s++ {
-			slot, logits, err := bg.Admit(prompt, fmt.Sprintf("bench/gen/%d", s))
+			slot, logits, err := admitPrompt(bg, prompt, fmt.Sprintf("bench/gen/%d", s), 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -386,7 +403,10 @@ func benchmarkDecode(b *testing.B, width int) {
 			tokens++
 		}
 		for t := 1; t < newTokens; t++ {
-			logits, err := bg.Step(ids, toks)
+			for s := 0; s < width; s++ {
+				segs[s] = nn.StepSeg{Slot: ids[s], Tokens: toks[s : s+1]}
+			}
+			logits, err := bg.StepSegs(segs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -534,7 +554,7 @@ func benchmarkDecodeMixed(b *testing.B, chunk int) {
 				seq := &mixSeq{short: len(p) == 16, born: born}
 				if chunk <= 0 {
 					// Monolithic: the whole prompt in one blocking pass.
-					slot, logits, err := bg.AdmitBudget(p, "bench/mix", len(p)+newTokens-1)
+					slot, logits, err := admitPrompt(bg, p, "bench/mix", len(p)+newTokens-1)
 					if err != nil {
 						b.Fatal(err)
 					}

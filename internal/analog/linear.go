@@ -39,10 +39,7 @@ type AnalogLinear struct {
 	rowsProcessed *atomic.Int64 // activation rows seen, shared across scoped views
 }
 
-var (
-	_ nn.NoiseScopedOp    = (*AnalogLinear)(nil)
-	_ nn.RowScopedBatchOp = (*AnalogLinear)(nil)
-)
+var _ nn.NoiseScopedOp = (*AnalogLinear)(nil)
 
 // NewAnalogLinear programs weight matrix w (in × out) onto tiles.
 // bias may be nil. s may be nil (no rescaling) or a length-in positive
@@ -176,7 +173,7 @@ func (l *AnalogLinear) ForwardInto(out, x *tensor.Matrix) {
 // row-scoped read stays allocation-free in steady state.
 var randsPool = sync.Pool{New: func() any { return new([]*rng.Rand) }}
 
-// ForwardIntoRowScoped implements nn.RowScopedBatchOp: row i of x is read
+// ForwardIntoRowScoped implements nn.NoiseScopedOp: row i of x is read
 // under the noise stream of scopes[i] — each a WithNoiseScope view of this
 // same layer — while the deterministic phase-1 work (α, DAC conversion, the
 // blocked MAC) is shared across the whole batch. Row i's result and consumed

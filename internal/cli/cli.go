@@ -63,7 +63,6 @@ type Options struct {
 	// counted hardware events — they never change deployments or results.
 	CostModelSpec string
 
-	stream    rng.StreamVersion
 	costModel analog.CostModel
 	finished  bool
 }
@@ -93,7 +92,6 @@ func (o *Options) Finish() error {
 	if err != nil {
 		return err
 	}
-	o.stream = sv
 	analog.SetDefaultNoiseStream(sv)
 	cm, err := ParseCostModel(o.CostModelSpec)
 	if err != nil {
@@ -146,13 +144,6 @@ func ParseCostModel(spec string) (analog.CostModel, error) {
 func (o *Options) CostModel() analog.CostModel {
 	o.mustFinish("CostModel")
 	return o.costModel
-}
-
-// Stream returns the validated noise-stream version (Finish must have
-// succeeded first).
-func (o *Options) Stream() rng.StreamVersion {
-	o.mustFinish("Stream")
-	return o.stream
 }
 
 // Engine resolves the options into an engine configuration. Every binary

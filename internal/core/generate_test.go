@@ -6,6 +6,7 @@ import (
 
 	"nora/internal/analog"
 	"nora/internal/nn"
+	"nora/internal/tensor"
 )
 
 // greedyRef decodes the reference continuation for one request with the
@@ -32,6 +33,31 @@ func greedyRef(r *nn.Runner, scope string, prompt []int, n int) ([][]float32, []
 		rows = append(rows, append([]float32(nil), logits...))
 	}
 	return rows, toks
+}
+
+// admitPrompt claims a full-window slot under scope and prefills the whole
+// prompt in one pass, returning the logits after its last token.
+func admitPrompt(bg *nn.BatchGenerator, prompt []int, scope string) (int, []float32, error) {
+	slot, err := bg.Begin(scope, 0)
+	if err != nil {
+		return -1, nil, err
+	}
+	logits, err := bg.StepSegs([]nn.StepSeg{{Slot: slot, Tokens: prompt}})
+	if err != nil {
+		bg.Release(slot)
+		return -1, nil, err
+	}
+	return slot, logits.Row(0), nil
+}
+
+// stepTokens appends toks[i] to the sequence in slot ids[i] in one batched
+// decode step; row i of the result belongs to ids[i].
+func stepTokens(bg *nn.BatchGenerator, ids, toks []int) (*tensor.Matrix, error) {
+	segs := make([]nn.StepSeg, len(ids))
+	for i, id := range ids {
+		segs[i] = nn.StepSeg{Slot: id, Tokens: toks[i : i+1]}
+	}
+	return bg.StepSegs(segs)
 }
 
 func argmaxF(xs []float32) int {
@@ -94,7 +120,7 @@ func TestBatchedGenerationBitIdenticalToSequentialAnalog(t *testing.T) {
 				emit[seq]++
 			}
 			admit := func(seq int) {
-				s, logits, err := bg.Admit(prompts[seq], scope(seq))
+				s, logits, err := admitPrompt(bg, prompts[seq], scope(seq))
 				if err != nil {
 					t.Fatalf("admit %d: %v", seq, err)
 				}
@@ -109,7 +135,7 @@ func TestBatchedGenerationBitIdenticalToSequentialAnalog(t *testing.T) {
 					ids[i] = slot[q]
 					toks[i] = next[q]
 				}
-				logits, err := bg.Step(ids, toks)
+				logits, err := stepTokens(bg, ids, toks)
 				if err != nil {
 					t.Fatalf("step %v: %v", seqs, err)
 				}
@@ -179,7 +205,7 @@ func TestChunkedPrefillBitIdenticalAnalog(t *testing.T) {
 					}
 					*emit++
 				}
-				slotS, logitsS, err := bg.Admit(short, "gen/short")
+				slotS, logitsS, err := admitPrompt(bg, short, "gen/short")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,7 +237,7 @@ func TestChunkedPrefillBitIdenticalAnalog(t *testing.T) {
 					}
 				}
 				for s := 0; s < steps-1; s++ {
-					logits, err := bg.Step([]int{slotL, slotS}, []int{nextL, nextS})
+					logits, err := stepTokens(bg, []int{slotL, slotS}, []int{nextL, nextS})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -237,7 +263,7 @@ func TestGenerationScopeIndependentOfBatchComposition(t *testing.T) {
 	r := Deploy(m, DeployAnalogNaive, nil, cfg, 7, Options{})
 
 	decode := func(bg *nn.BatchGenerator, prompt []int, scope string, others [][]int) []int {
-		slot, logits, err := bg.Admit(prompt, scope)
+		slot, logits, err := admitPrompt(bg, prompt, scope)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +271,7 @@ func TestGenerationScopeIndependentOfBatchComposition(t *testing.T) {
 		otherSlots := make([]int, 0, len(others))
 		otherNext := make([]int, 0, len(others))
 		for i, p := range others {
-			s, lg, err := bg.Admit(p, fmt.Sprintf("other%d", i))
+			s, lg, err := admitPrompt(bg, p, fmt.Sprintf("other%d", i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +283,7 @@ func TestGenerationScopeIndependentOfBatchComposition(t *testing.T) {
 			out = append(out, next)
 			ids := append([]int{slot}, otherSlots...)
 			toks := append([]int{next}, otherNext...)
-			res, err := bg.Step(ids, toks)
+			res, err := stepTokens(bg, ids, toks)
 			if err != nil {
 				t.Fatal(err)
 			}

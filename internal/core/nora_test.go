@@ -45,6 +45,19 @@ func trained(t *testing.T) (*nn.Model, [][]int, [][]int) {
 	return tinyModel, tinyEval, tinyCalib
 }
 
+// allLogits returns every position's next-token logits, read through the
+// sequential Generator: row i follows tokens[:i+1]. On an unscoped analog
+// runner the rows draw the runner's noise stream in the order a
+// whole-context read would.
+func allLogits(r *nn.Runner, tokens []int) *tensor.Matrix {
+	g := nn.NewGenerator(r)
+	out := tensor.New(len(tokens), r.Model().Cfg.Vocab)
+	for i, tok := range tokens {
+		copy(out.Row(i), g.Append(tok))
+	}
+	return out
+}
+
 func TestCalibrateShapes(t *testing.T) {
 	m, _, calib := trained(t)
 	cal := Calibrate(m, calib)
@@ -173,9 +186,9 @@ func TestIdealAnalogMatchesDigitalEndToEnd(t *testing.T) {
 	cal := Calibrate(m, calib)
 	tokens := eval[0][:len(eval[0])-1]
 
-	digital := Deploy(m, DeployDigital, nil, analog.Config{}, 1, Options{}).Logits(tokens)
-	naive := Deploy(m, DeployAnalogNaive, nil, analog.Ideal(), 1, Options{}).Logits(tokens)
-	nora := Deploy(m, DeployAnalogNORA, cal, analog.Ideal(), 1, Options{}).Logits(tokens)
+	digital := allLogits(Deploy(m, DeployDigital, nil, analog.Config{}, 1, Options{}), tokens)
+	naive := allLogits(Deploy(m, DeployAnalogNaive, nil, analog.Ideal(), 1, Options{}), tokens)
+	nora := allLogits(Deploy(m, DeployAnalogNORA, cal, analog.Ideal(), 1, Options{}), tokens)
 
 	tol := 5e-3 * (1 + digital.AbsMax())
 	if !naive.AllClose(digital, tol) {
@@ -324,9 +337,9 @@ func TestLambdaExtremesIdealInvariance(t *testing.T) {
 	m, eval, calib := trained(t)
 	cal := Calibrate(m, calib)
 	tokens := eval[1][:10]
-	digital := nn.NewRunner(m).Logits(tokens)
+	digital := allLogits(nn.NewRunner(m), tokens)
 	for _, lambda := range []float64{1e-9, 0.3, 1} {
-		got := Deploy(m, DeployAnalogNORA, cal, analog.Ideal(), 3, Options{Lambda: lambda}).Logits(tokens)
+		got := allLogits(Deploy(m, DeployAnalogNORA, cal, analog.Ideal(), 3, Options{Lambda: lambda}), tokens)
 		if !got.AllClose(digital, 6e-3*(1+digital.AbsMax())) {
 			t.Fatalf("λ=%v: ideal NORA diverges from digital", lambda)
 		}
@@ -377,15 +390,15 @@ func TestDeployLayerFilter(t *testing.T) {
 	m, eval, calib := trained(t)
 	cal := Calibrate(m, calib)
 	tokens := eval[2][:12]
-	digital := nn.NewRunner(m).Logits(tokens)
+	digital := allLogits(nn.NewRunner(m), tokens)
 
 	// Only one layer analog, with the paper preset: the perturbation must
 	// be smaller than the full deployment's.
 	cfg := analog.PaperPreset()
 	one := Deploy(m, DeployAnalogNaive, nil, cfg, 4, Options{Layers: []string{"layer0.attn.q"}})
 	all := Deploy(m, DeployAnalogNaive, nil, cfg, 4, Options{})
-	errOne := tensor.MSE(one.Logits(tokens), digital)
-	errAll := tensor.MSE(all.Logits(tokens), digital)
+	errOne := tensor.MSE(allLogits(one, tokens), digital)
+	errAll := tensor.MSE(allLogits(all, tokens), digital)
 	if errOne == 0 {
 		t.Fatal("single-layer analog deployment had no effect")
 	}
@@ -397,7 +410,7 @@ func TestDeployLayerFilter(t *testing.T) {
 	// analog config the filtered deployment equals digital bit-for-bit on
 	// the untouched layers' path, so overall divergence stays tiny.
 	ideal := Deploy(m, DeployAnalogNaive, nil, analog.Ideal(), 4, Options{Layers: []string{"layer0.attn.q"}})
-	if !ideal.Logits(tokens).AllClose(digital, 2e-3*(1+digital.AbsMax())) {
+	if !allLogits(ideal, tokens).AllClose(digital, 2e-3*(1+digital.AbsMax())) {
 		t.Fatal("ideal filtered deployment diverges from digital")
 	}
 	_ = cal

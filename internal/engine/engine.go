@@ -113,10 +113,6 @@ func New(cfg Config) *Engine {
 // digital-quantization baselines) but want matching parallelism.
 func (e *Engine) EvalWorkers() int { return e.cfg.EvalWorkers }
 
-// CostModel returns the resolved cost model the engine prices analog work
-// with (the config override, or analog.DefaultCostModel()).
-func (e *Engine) CostModel() analog.CostModel { return e.cfg.CostModel }
-
 // Request names one deployment: which model, onto what hardware, under
 // which rescaling. Everything except Net enters the content key; Net is
 // the live model instance the deployment is built from.

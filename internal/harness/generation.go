@@ -110,8 +110,8 @@ func genPrompts(w *Workload, n, tokensPerSeq int) [][]int {
 func runGenCell(dep *engine.Deployment, w *Workload, c int, prompts [][]int, tokensPerSeq int) (GenRow, error) {
 	type flight struct {
 		slot int
-		next int // sampled token awaiting the next step
-		got  int // tokens emitted so far
+		next [1]int // sampled token awaiting the next step
+		got  int    // tokens emitted so far
 	}
 	bg := nn.NewBatchGenerator(dep.Runner(), c)
 	var (
@@ -121,19 +121,23 @@ func runGenCell(dep *engine.Deployment, w *Workload, c int, prompts [][]int, tok
 		tokens   int64
 		steps    int64
 	)
-	ids := make([]int, 0, c)
-	toks := make([]int, 0, c)
+	segs := make([]nn.StepSeg, 0, c)
 	reads0 := dep.OpCounters().MVMs
 	start := time.Now()
 	for admitted < len(prompts) || len(active) > 0 {
-		// Fill free slots before stepping, like the serving scheduler.
+		// Fill free slots before stepping, like the serving scheduler. Each
+		// prompt prefills in a pass of its own, which is not a decode step.
 		for bg.Free() > 0 && admitted < len(prompts) {
 			scope := fmt.Sprintf("harness/gen/%s/%d", w.Spec.Key, admitted)
-			slot, logits, err := bg.Admit(prompts[admitted], scope)
+			slot, err := bg.Begin(scope, 0)
 			if err != nil {
 				return GenRow{}, err
 			}
-			tok := argmaxRow(logits) // consume before the next bg call
+			logits, err := bg.StepSegs([]nn.StepSeg{{Slot: slot, Tokens: prompts[admitted]}})
+			if err != nil {
+				return GenRow{}, err
+			}
+			tok := argmaxRow(logits.Row(0)) // consume before the next bg call
 			admitted++
 			tokens++
 			if tokensPerSeq <= 1 {
@@ -141,17 +145,16 @@ func runGenCell(dep *engine.Deployment, w *Workload, c int, prompts [][]int, tok
 				done++
 				continue
 			}
-			active = append(active, flight{slot: slot, next: tok, got: 1})
+			active = append(active, flight{slot: slot, next: [1]int{tok}, got: 1})
 		}
 		if len(active) == 0 {
 			continue
 		}
-		ids, toks = ids[:0], toks[:0]
-		for _, f := range active {
-			ids = append(ids, f.slot)
-			toks = append(toks, f.next)
+		segs = segs[:0]
+		for i := range active {
+			segs = append(segs, nn.StepSeg{Slot: active[i].slot, Tokens: active[i].next[:]})
 		}
-		logits, err := bg.Step(ids, toks)
+		logits, err := bg.StepSegs(segs)
 		if err != nil {
 			return GenRow{}, err
 		}
@@ -159,7 +162,7 @@ func runGenCell(dep *engine.Deployment, w *Workload, c int, prompts [][]int, tok
 		live := active[:0]
 		for i := range active {
 			f := active[i]
-			f.next = argmaxRow(logits.Row(i))
+			f.next[0] = argmaxRow(logits.Row(i))
 			f.got++
 			tokens++
 			if f.got >= tokensPerSeq {

@@ -100,16 +100,6 @@ func (bg *BatchGenerator) FreePages() int { return len(bg.pool.free) }
 // (prompt plus continuation) reserves.
 func (bg *BatchGenerator) PagesFor(n int) int { return bg.pool.pagesFor(n) }
 
-// CanAdmit reports whether a sequence of up to budget total tokens could be
-// admitted right now: a free slot and enough free pages (budget ≤ 0 means
-// the full context window).
-func (bg *BatchGenerator) CanAdmit(budget int) bool {
-	if budget <= 0 || budget > bg.MaxSeq() {
-		budget = bg.MaxSeq()
-	}
-	return bg.free > 0 && len(bg.pool.free) >= bg.pool.pagesFor(budget)
-}
-
 // Begin claims a free slot and reserves KV pages for a sequence of up to
 // budget total tokens (prompt plus continuation; ≤ 0 or > MaxSeq reserves
 // the full context window) without consuming any tokens yet — the prompt is
@@ -152,48 +142,6 @@ func (bg *BatchGenerator) Begin(scope string, budget int) (int, error) {
 	return slot, nil
 }
 
-// Admit claims a slot, reserves full-context pages, prefills the whole
-// prompt in one batched T×d pass, and returns the slot id plus the logits
-// after the last prompt token (valid until the next call) — the monolithic
-// admission path. Chunked admission (Begin + StepSegs) produces
-// bit-identical sequences while letting the prompt share steps with live
-// decodes. On error no slot is consumed.
-func (bg *BatchGenerator) Admit(tokens []int, scope string) (int, []float32, error) {
-	return bg.AdmitBudget(tokens, scope, 0)
-}
-
-// AdmitBudget is Admit with an explicit page budget: the sequence reserves
-// pages for budget total tokens (prompt plus continuation) instead of the
-// full context window. A budget below the prompt length is raised to it.
-func (bg *BatchGenerator) AdmitBudget(tokens []int, scope string, budget int) (int, []float32, error) {
-	m := bg.r.model
-	if len(tokens) == 0 {
-		return -1, nil, ErrEmptyPrompt
-	}
-	if len(tokens) > m.Cfg.MaxSeq {
-		return -1, nil, ErrCacheFull
-	}
-	for _, tok := range tokens {
-		if tok < 0 || tok >= m.Cfg.Vocab {
-			return -1, nil, &TokenRangeError{Token: tok, Vocab: m.Cfg.Vocab}
-		}
-	}
-	if budget > 0 && budget < len(tokens) {
-		budget = len(tokens)
-	}
-	slot, err := bg.Begin(scope, budget)
-	if err != nil {
-		return -1, nil, err
-	}
-	bg.segs = append(bg.segs[:0], stepSeg{st: bg.slots[slot], tokens: tokens})
-	logits, err := stepSegments(bg.r, bg.segs, &bg.sc)
-	if err != nil {
-		bg.Release(slot)
-		return -1, nil, err
-	}
-	return slot, logits.Row(0), nil
-}
-
 // Release returns a slot and its KV pages to their pools; releasing an
 // inactive slot is a no-op.
 func (bg *BatchGenerator) Release(slot int) {
@@ -205,27 +153,6 @@ func (bg *BatchGenerator) Release(slot int) {
 	bg.slots[slot].releasePages()
 	bg.slots[slot].runner = bg.r // drop the scoped view so it can be collected
 	bg.free++
-}
-
-// Step appends tokens[i] to the sequence in slot ids[i] — one batched
-// decode step over all of them — and returns the stacked next-token logits
-// (len(ids) × vocab, rows in ids order, valid until the next call). Any
-// subset of active slots may be stepped, in any order; a sequence's results
-// depend only on its own tokens. Errors (inactive slot, full cache,
-// out-of-range token) are reported before any state changes.
-func (bg *BatchGenerator) Step(ids, tokens []int) (*tensor.Matrix, error) {
-	if len(ids) == 0 || len(ids) != len(tokens) {
-		return nil, fmt.Errorf("nn: decode: %d slots, %d tokens", len(ids), len(tokens))
-	}
-	segs := bg.segs[:0]
-	for i, id := range ids {
-		if id < 0 || id >= len(bg.slots) || !bg.inUse[id] {
-			return nil, fmt.Errorf("nn: decode: slot %d not active", id)
-		}
-		segs = append(segs, stepSeg{st: bg.slots[id], tokens: tokens[i : i+1]})
-	}
-	bg.segs = segs
-	return stepSegments(bg.r, segs, &bg.sc)
 }
 
 // StepSeg describes one sequence's contribution to a mixed prefill/decode

@@ -8,13 +8,14 @@ import (
 	"nora/internal/tensor"
 )
 
-// Shared machinery of incremental decoding. Generator (one sequence) and
-// BatchGenerator (N in-flight sequences, continuous batching) both drive
-// stepSegments: every segment — one decode token, a prefill chunk, or a
-// whole prompt — contributes its rows to one stacked n×d matrix, the whole
-// step (QKV projections, cached attention, MLP, LM head) runs through the
-// batched operators, and stochastic operators read each row under its own
-// sequence's noise scope (RowScopedBatchOp). A sequence's rows pass through
+// The one transformer forward. Runner.Logits and PredictLast (one context
+// as one prefill segment), Generator (one sequence) and BatchGenerator (N
+// in-flight sequences, continuous batching) all drive stepSegments: every
+// segment — one decode token, a prefill chunk, or a whole prompt —
+// contributes its rows to one stacked n×d matrix, the whole step (QKV
+// projections, cached attention, MLP, LM head) runs through the batched
+// operators, and stochastic operators read each row under its own
+// sequence's noise scope (NoiseScopedOp). A sequence's rows pass through
 // every operator in prompt order no matter how they are split into chunks
 // or interleaved with other sequences' rows, so each sequence is
 // bit-identical to appending its tokens one at a time on that sequence
@@ -68,7 +69,7 @@ type stepSeg struct {
 // logits, positions, per-row state/view tables, the matrix headers — so
 // steady-state decoding allocates nothing. All buffers are fully overwritten
 // before being read (Into kernels, norm helpers, attendCachedRow), so reuse
-// cannot perturb results — the same discipline as inferScratch.
+// cannot perturb results.
 type decodeScratch struct {
 	x, h, q, k, v, attn, o, ff1, ff2 []float32
 	end                              []float32
@@ -80,7 +81,6 @@ type decodeScratch struct {
 
 	xM, hM, qM, kM, vM, attnM, oM, ff1M, ff2M tensor.Matrix
 	endM, logitsM                             tensor.Matrix
-	rowIn, rowOut                             tensor.Matrix
 
 	seg1 [1]stepSeg
 	tok1 [1]int
@@ -95,10 +95,20 @@ func (sc *decodeScratch) mat(m *tensor.Matrix, buf *[]float32, rows, cols int) *
 	return m
 }
 
-// rowView re-points a pooled header at row i of m (zero-copy 1×cols view).
-func rowView(h *tensor.Matrix, m *tensor.Matrix, i int) *tensor.Matrix {
-	h.Rows, h.Cols, h.Data = 1, m.Cols, m.Row(i)
-	return h
+func growF(buf *[]float32, n int) []float32 {
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+func growInt(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 func growStates(buf *[]*decodeState, n int) []*decodeState {
@@ -119,7 +129,7 @@ func growStates(buf *[]*decodeState, n int) []*decodeState {
 //
 // Bit-exactness: stochastic operators consume row i under rowStates[i]'s
 // scoped stream in ascending row order (applyRowScoped), so a sequence's
-// rows draw exactly what they would drawn appended one at a time, whatever
+// rows draw exactly what they would draw appended one at a time, whatever
 // the chunking or batch composition. Attention is computed per row against
 // only that sequence's cache, in position order within each segment. The LM
 // head is evaluated only for each segment's last row — earlier rows'
@@ -262,13 +272,12 @@ func stepBlock(base *Runner, layer int, b *Block, x *tensor.Matrix, rowStates []
 	x.AddInPlace(o)
 }
 
-// applyRowScoped runs the named linear over the stacked batch x (row i
-// belonging to states[i]), writing into out. Operators that support
-// row-scoped batching take the whole mixed-scope batch in one call — rows of
-// the same sequence share one scoped view, whose stream they consume in row
-// order, exactly as a single-sequence batched call would; deterministic
-// operators batch trivially (they draw nothing); anything else falls back to
-// a per-row loop through each state's own operator view.
+// applyRowScoped runs the named linear once over the stacked batch x (row
+// i belonging to states[i]), writing into out. A noise-scoped operator reads
+// row i under states[i]'s view — rows of one sequence consume that
+// sequence's stream in row order, exactly as a single-sequence call would;
+// any other operator draws nothing, so one read of the whole batch serves
+// every sequence. Operators without ForwardInto run Forward plus a copy.
 func applyRowScoped(base *Runner, states []*decodeState, name string, x, out *tensor.Matrix, sc *decodeScratch) {
 	if base.PreLinear != nil {
 		base.PreLinear(name, x)
@@ -277,34 +286,22 @@ func applyRowScoped(base *Runner, states []*decodeState, name string, x, out *te
 	if !ok {
 		panic(fmt.Sprintf("nn: no operator for layer %q", name))
 	}
-	if rs, ok := op.(RowScopedBatchOp); ok {
+	switch op := op.(type) {
+	case NoiseScopedOp:
 		views := sc.views[:0]
 		for _, st := range states {
 			views = append(views, st.runner.ops[name])
 		}
 		sc.views = views
-		rs.ForwardIntoRowScoped(out, x, views)
-		return
-	}
-	if _, noisy := op.(NoiseScopedOp); !noisy {
-		if fi, ok := op.(ForwardIntoOp); ok {
-			fi.ForwardInto(out, x)
-			return
+		op.ForwardIntoRowScoped(out, x, views)
+	case ForwardIntoOp:
+		op.ForwardInto(out, x)
+	default:
+		res := op.Forward(x)
+		if res.Rows != out.Rows || res.Cols != out.Cols {
+			panic(fmt.Sprintf("nn: %s: result %dx%d, expected %dx%d", name, res.Rows, res.Cols, out.Rows, out.Cols))
 		}
-	}
-	for i, st := range states {
-		in := rowView(&sc.rowIn, x, i)
-		dst := rowView(&sc.rowOut, out, i)
-		rop := st.runner.ops[name]
-		if fi, ok := rop.(ForwardIntoOp); ok {
-			fi.ForwardInto(dst, in)
-			continue
-		}
-		res := rop.Forward(in)
-		if res.Rows != 1 || res.Cols != out.Cols {
-			panic(fmt.Sprintf("nn: %s: result %dx%d, expected 1x%d", name, res.Rows, res.Cols, out.Cols))
-		}
-		copy(dst.Data, res.Data)
+		copy(out.Data, res.Data)
 	}
 }
 
@@ -312,12 +309,13 @@ func applyRowScoped(base *Runner, states []*decodeState, name string, x, out *te
 // (length DModel) at position pos against st's cached positions
 // [max(0, pos-window+1), pos] of one layer, writing into out (length DModel,
 // fully overwritten). It honors the sliding window and grouped-query head
-// sharing, and is the scalar kernel behind sequential Append, batched
-// decode, and chunked prefill alike — each row attends only to its own
-// sequence's cache, so batching cannot change its result. The cache is
-// paged: positions are walked page-segment by page-segment in ascending
+// sharing, and is the one attention kernel: Logits, sequential Append,
+// batched decode and chunked prefill all run it. Each row attends only to
+// its own sequence's cache, so batching cannot change its result. The cache
+// is paged: positions are walked page-segment by page-segment in ascending
 // order, so the arithmetic (and therefore the result, bit for bit) is
-// independent of the page size.
+// independent of the page size. Products are rounded explicitly so no
+// platform fuses them into an FMA.
 func attendCachedRow(out []float32, m *Model, st *decodeState, layer int, q []float32, pos int, scores *[]float32) {
 	dh := m.Cfg.HeadDim()
 	group := m.Cfg.NHeads / m.Cfg.KVHeads()
@@ -353,7 +351,7 @@ func attendCachedRow(out []float32, m *Model, st *decodeState, layer int, q []fl
 				krow := kb[s*kvd+kvLo:][:dh]
 				var sum float32
 				for c, qv := range qh {
-					sum += qv * krow[c]
+					sum += float32(qv * krow[c])
 				}
 				sum *= scale
 				sc[t] = sum
@@ -384,7 +382,7 @@ func attendCachedRow(out []float32, m *Model, st *decodeState, layer int, q []fl
 				w := sc[t] * inv
 				vrow := vb[s*kvd+kvLo:][:dh]
 				for c := range orow {
-					orow[c] += w * vrow[c]
+					orow[c] += float32(w * vrow[c])
 				}
 				t++
 			}

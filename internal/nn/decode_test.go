@@ -5,7 +5,34 @@ import (
 	"testing"
 
 	"nora/internal/rng"
+	"nora/internal/tensor"
 )
+
+// admitPrompt claims a slot reserving pages for budget tokens (≤ 0: the
+// full window) and prefills the whole prompt in one pass, returning the
+// logits after its last token. On error no slot stays claimed.
+func admitPrompt(bg *BatchGenerator, prompt []int, scope string, budget int) (int, []float32, error) {
+	slot, err := bg.Begin(scope, budget)
+	if err != nil {
+		return -1, nil, err
+	}
+	logits, err := bg.StepSegs([]StepSeg{{Slot: slot, Tokens: prompt}})
+	if err != nil {
+		bg.Release(slot)
+		return -1, nil, err
+	}
+	return slot, logits.Row(0), nil
+}
+
+// stepTokens appends toks[i] to the sequence in slot ids[i] in one batched
+// decode step; row i of the result belongs to ids[i].
+func stepTokens(bg *BatchGenerator, ids, toks []int) (*tensor.Matrix, error) {
+	segs := make([]StepSeg, len(ids))
+	for i, id := range ids {
+		segs[i] = StepSeg{Slot: id, Tokens: toks[i : i+1]}
+	}
+	return bg.StepSegs(segs)
+}
 
 // greedySequential decodes a reference continuation with the sequential
 // Generator: prefill then greedy steps, collecting every logits row.
@@ -69,7 +96,7 @@ func TestBatchGeneratorMatchesSequential(t *testing.T) {
 				emit[seq]++
 			}
 			admit := func(seq int) {
-				s, logits, err := bg.Admit(prompts[seq], "")
+				s, logits, err := admitPrompt(bg, prompts[seq], "", 0)
 				if err != nil {
 					t.Fatalf("admit seq %d: %v", seq, err)
 				}
@@ -84,7 +111,7 @@ func TestBatchGeneratorMatchesSequential(t *testing.T) {
 					ids[i] = slot[q]
 					toks[i] = next[q]
 				}
-				logits, err := bg.Step(ids, toks)
+				logits, err := stepTokens(bg, ids, toks)
 				if err != nil {
 					t.Fatalf("step %v: %v", seqs, err)
 				}
@@ -120,48 +147,48 @@ func TestBatchGeneratorErrors(t *testing.T) {
 	m, _ := NewModel(cfg, rng.New(811))
 	bg := NewBatchGenerator(NewRunner(m), 2)
 
-	if _, _, err := bg.Admit(nil, ""); !errors.Is(err, ErrEmptyPrompt) {
+	if _, _, err := admitPrompt(bg, nil, "", 0); !errors.Is(err, ErrEmptyPrompt) {
 		t.Fatalf("empty prompt: %v", err)
 	}
-	if _, _, err := bg.Admit([]int{1, 2, 3, 4, 5, 6, 7}, ""); !errors.Is(err, ErrCacheFull) {
+	if _, _, err := admitPrompt(bg, []int{1, 2, 3, 4, 5, 6, 7}, "", 0); !errors.Is(err, ErrCacheFull) {
 		t.Fatalf("over-long prompt: %v", err)
 	}
 	var tre *TokenRangeError
-	if _, _, err := bg.Admit([]int{1, 999}, ""); !errors.As(err, &tre) {
+	if _, _, err := admitPrompt(bg, []int{1, 999}, "", 0); !errors.As(err, &tre) {
 		t.Fatalf("bad token: %v", err)
 	}
 	if bg.Free() != 2 {
 		t.Fatalf("failed admits must not consume slots, free = %d", bg.Free())
 	}
 
-	s0, _, err := bg.Admit([]int{1, 2}, "")
+	s0, _, err := admitPrompt(bg, []int{1, 2}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _, err := bg.Admit([]int{3}, "")
+	s1, _, err := admitPrompt(bg, []int{3}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bg.Admit([]int{4}, ""); !errors.Is(err, ErrNoFreeSlot) {
+	if _, _, err := admitPrompt(bg, []int{4}, "", 0); !errors.Is(err, ErrNoFreeSlot) {
 		t.Fatalf("full generator: %v", err)
 	}
-	if _, err := bg.Step([]int{s0}, []int{999}); err == nil {
+	if _, err := stepTokens(bg, []int{s0}, []int{999}); err == nil {
 		t.Fatal("out-of-range step token must error")
 	}
-	if _, err := bg.Step([]int{5}, []int{1}); err == nil {
+	if _, err := stepTokens(bg, []int{5}, []int{1}); err == nil {
 		t.Fatal("inactive slot must error")
 	}
 	bg.Release(s1)
-	if _, err := bg.Step([]int{s1}, []int{1}); err == nil {
+	if _, err := stepTokens(bg, []int{s1}, []int{1}); err == nil {
 		t.Fatal("released slot must error")
 	}
 	// Fill slot 0's cache, then the step must report ErrCacheFull.
 	for bg.Pos(s0) < cfg.MaxSeq {
-		if _, err := bg.Step([]int{s0}, []int{1}); err != nil {
+		if _, err := stepTokens(bg, []int{s0}, []int{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := bg.Step([]int{s0}, []int{1}); !errors.Is(err, ErrCacheFull) {
+	if _, err := stepTokens(bg, []int{s0}, []int{1}); !errors.Is(err, ErrCacheFull) {
 		t.Fatalf("full cache: %v", err)
 	}
 }
@@ -204,7 +231,7 @@ func TestChunkedPrefillMatchesSequential(t *testing.T) {
 						}
 						*emit++
 					}
-					slotS, logitsS, err := bg.Admit(short, "")
+					slotS, logitsS, err := admitPrompt(bg, short, "", 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -243,7 +270,7 @@ func TestChunkedPrefillMatchesSequential(t *testing.T) {
 					}
 					// Joint decode: both sequences advance together.
 					for s := 0; s < steps-1; s++ {
-						logits, err := bg.Step([]int{slotL, slotS}, []int{nextL, nextS})
+						logits, err := stepTokens(bg, []int{slotL, slotS}, []int{nextL, nextS})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -269,7 +296,7 @@ func TestChunkedStepAllocs(t *testing.T) {
 	m, _ := NewModel(cfg, rng.New(816))
 	bg := NewBatchGeneratorPaged(NewRunner(m), 2, 8, 0)
 	prompt := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	slotD, _, err := bg.Admit([]int{3, 4}, "")
+	slotD, _, err := admitPrompt(bg, []int{3, 4}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +317,7 @@ func TestChunkedStepAllocs(t *testing.T) {
 		bg.Release(slotP)
 		if bg.Pos(slotD) >= cfg.MaxSeq-1 {
 			bg.Release(slotD)
-			slotD, _, err = bg.Admit([]int{3, 4}, "")
+			slotD, _, err = admitPrompt(bg, []int{3, 4}, "", 0)
 			if err != nil {
 				panic(err)
 			}

@@ -8,37 +8,33 @@ import (
 	"nora/internal/tensor"
 )
 
-// forwardOnly hides an operator's ForwardInto method so the runner is
-// forced through applyInto's Forward-plus-copy fallback.
+// forwardOnly hides an operator's ForwardInto method so the decode step is
+// forced through its Forward-plus-copy branch.
 type forwardOnly struct{ op LinearOp }
 
 func (f forwardOnly) Name() string                            { return f.op.Name() }
 func (f forwardOnly) Forward(x *tensor.Matrix) *tensor.Matrix { return f.op.Forward(x) }
 
-// TestApplyIntoFallbackMatchesFastPath: custom LinearOps without a
-// ForwardInto fast path must keep producing bit-identical logits through
-// the pooled inference loop.
-func TestApplyIntoFallbackMatchesFastPath(t *testing.T) {
+// TestForwardOnlyOpMatchesFastPath: custom LinearOps without a ForwardInto
+// fast path must keep producing bit-identical logits, both for a whole
+// context read in one segment and one token at a time.
+func TestForwardOnlyOpMatchesFastPath(t *testing.T) {
 	for _, cfg := range []Config{optConfig(), llamaConfig()} {
 		m, err := NewModel(cfg, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
 		tokens := []int{3, 1, 4, 1, 5, 9, 2, 6}
-		fast := NewRunner(m).Logits(tokens)
-
+		fast := NewRunner(m)
 		slow := NewRunner(m)
 		for _, spec := range m.Linears() {
 			slow.SetLinear(spec.Name, forwardOnly{slow.Linear(spec.Name)})
 		}
-		got := slow.Logits(tokens)
-
-		if !got.SameShape(fast) {
-			t.Fatalf("%s: shape %dx%d vs %dx%d", cfg.Name, got.Rows, got.Cols, fast.Rows, fast.Cols)
-		}
-		for i, v := range got.Data {
-			if math.Float32bits(v) != math.Float32bits(fast.Data[i]) {
-				t.Fatalf("%s: fallback logits diverge at %d: %v vs %v", cfg.Name, i, v, fast.Data[i])
+		want := append(allLogits(fast, tokens).Data, fast.Logits(tokens)...)
+		got := append(allLogits(slow, tokens).Data, slow.Logits(tokens)...)
+		for i, v := range got {
+			if math.Float32bits(v) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: Forward-only logits diverge at %d: %v vs %v", cfg.Name, i, v, want[i])
 			}
 		}
 	}

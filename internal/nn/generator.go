@@ -48,12 +48,7 @@ func (g *Generator) Reset() {
 // instead of crashing the process. State is unchanged on error.
 func (g *Generator) AppendChecked(token int) ([]float32, error) {
 	g.sc.tok1[0] = token
-	g.sc.seg1[0] = stepSeg{st: g.st, tokens: g.sc.tok1[:]}
-	logits, err := stepSegments(g.r, g.sc.seg1[:], &g.sc)
-	if err != nil {
-		return nil, err
-	}
-	return logits.Row(0), nil
+	return g.PrefillChecked(g.sc.tok1[:])
 }
 
 // Append consumes one token and returns the next-token logits row
@@ -67,31 +62,17 @@ func (g *Generator) Append(token int) []float32 {
 	return logits
 }
 
-// PrefillChecked consumes the prompt and returns the logits after its last
-// token (valid until the next call on this generator). Capacity and token
-// range are validated up front, so a rejected prompt leaves the state
-// untouched.
+// PrefillChecked consumes the prompt as one segment of the decode step and
+// returns the logits after its last token (valid until the next call on
+// this generator). Capacity and token range are validated before any
+// position advances, so a rejected prompt leaves the state untouched.
 func (g *Generator) PrefillChecked(tokens []int) ([]float32, error) {
-	m := g.r.model
-	if len(tokens) == 0 {
-		return nil, ErrEmptyPrompt
+	g.sc.seg1[0] = stepSeg{st: g.st, tokens: tokens}
+	logits, err := stepSegments(g.r, g.sc.seg1[:], &g.sc)
+	if err != nil {
+		return nil, err
 	}
-	if g.st.pos+len(tokens) > m.Cfg.MaxSeq {
-		return nil, ErrCacheFull
-	}
-	for _, tok := range tokens {
-		if tok < 0 || tok >= m.Cfg.Vocab {
-			return nil, &TokenRangeError{Token: tok, Vocab: m.Cfg.Vocab}
-		}
-	}
-	var logits []float32
-	for _, tok := range tokens {
-		var err error
-		if logits, err = g.AppendChecked(tok); err != nil {
-			return nil, err
-		}
-	}
-	return logits, nil
+	return logits.Row(0), nil
 }
 
 // Prefill consumes the prompt and returns the logits after its last token.

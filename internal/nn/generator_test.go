@@ -6,55 +6,73 @@ import (
 
 	"nora/internal/autograd"
 	"nora/internal/rng"
+	"nora/internal/tensor"
 )
 
-// Incremental decoding must reproduce the full forward pass exactly: for
-// every prefix position, the generator's logits row equals the
-// corresponding row of Runner.Logits.
+// allLogits returns every position's next-token logits, read through the
+// Generator one Append at a time: row i follows tokens[:i+1].
+func allLogits(r *Runner, tokens []int) *tensor.Matrix {
+	g := NewGenerator(r)
+	out := tensor.New(len(tokens), r.Model().Cfg.Vocab)
+	for i, tok := range tokens {
+		copy(out.Row(i), g.Append(tok))
+	}
+	return out
+}
+
+// The three ways into the one decode step must agree bit for bit on every
+// prefix: Runner.Logits (the whole context as one segment), the sequential
+// Generator (one token per step), and a BatchGenerator prefill split into
+// two chunks over small KV pages. Covers OPT, plain LLaMA, grouped-query
+// attention, and a sliding window that binds.
 func TestGeneratorMatchesFullForward(t *testing.T) {
-	for _, cfg := range []Config{optConfig(), llamaConfig()} {
-		cfg := cfg
-		t.Run(cfg.Name, func(t *testing.T) {
-			m, err := NewModel(cfg, rng.New(700))
+	windowed := llamaConfig()
+	windowed.Name, windowed.Window = "window-test", 4
+	for _, tc := range []struct {
+		cfg  Config
+		seed uint64
+	}{
+		{optConfig(), 700},
+		{llamaConfig(), 700},
+		{gqaConfig(), 1003},
+		{windowed, 701},
+	} {
+		t.Run(tc.cfg.Name, func(t *testing.T) {
+			m, err := NewModel(tc.cfg, rng.New(tc.seed))
 			if err != nil {
 				t.Fatal(err)
 			}
 			r := NewRunner(m)
-			tokens := []int{5, 1, 29, 8, 0, 17, 3, 3, 11, 24}
-			full := r.Logits(tokens)
+			tokens := []int{5, 1, 29, 8, 0, 17, 3, 3, 11, 24, 9, 2}
 			g := NewGenerator(r)
-			for i, tok := range tokens {
-				row := g.Append(tok)
-				want := full.Row(i)
-				for j := range row {
-					if math.Abs(float64(row[j]-want[j])) > 1e-3*(1+math.Abs(float64(want[j]))) {
-						t.Fatalf("pos %d vocab %d: incremental %v vs full %v", i, j, row[j], want[j])
+			bg := NewBatchGeneratorPaged(r, 1, 3, 0)
+			for p := 1; p <= len(tokens); p++ {
+				full := r.Logits(tokens[:p])
+				seq := g.Append(tokens[p-1])
+				slot, err := bg.Begin("", p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := p / 2
+				if h > 0 {
+					if _, err := bg.StepSegs([]StepSeg{{Slot: slot, Tokens: tokens[:h]}}); err != nil {
+						t.Fatal(err)
 					}
 				}
+				res, err := bg.StepSegs([]StepSeg{{Slot: slot, Tokens: tokens[h:p]}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				chunked := res.Row(0)
+				for j := range full {
+					f := math.Float32bits(full[j])
+					if f != math.Float32bits(seq[j]) || f != math.Float32bits(chunked[j]) {
+						t.Fatalf("prefix %d vocab %d: Logits %v, Append %v, chunked %v", p, j, full[j], seq[j], chunked[j])
+					}
+				}
+				bg.Release(slot)
 			}
 		})
-	}
-}
-
-func TestGeneratorMatchesFullForwardWindowed(t *testing.T) {
-	cfg := llamaConfig()
-	cfg.Window = 4
-	m, err := NewModel(cfg, rng.New(701))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(m)
-	tokens := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	full := r.Logits(tokens)
-	g := NewGenerator(r)
-	for i, tok := range tokens {
-		row := g.Append(tok)
-		want := full.Row(i)
-		for j := range row {
-			if math.Abs(float64(row[j]-want[j])) > 1e-3*(1+math.Abs(float64(want[j]))) {
-				t.Fatalf("windowed pos %d: incremental diverges from full forward", i)
-			}
-		}
 	}
 }
 

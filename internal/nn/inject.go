@@ -178,7 +178,7 @@ func rmsOf(m *tensor.Matrix) float32 {
 	}
 	var sum float64
 	for _, v := range m.Data {
-		sum += float64(v) * float64(v)
+		sum += float64(float64(v) * float64(v))
 	}
 	return float32(math.Sqrt(sum / float64(len(m.Data))))
 }

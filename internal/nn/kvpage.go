@@ -28,7 +28,8 @@ const DefaultKVPageTokens = 16
 // kvPagePool is a fixed pool of KV pages shared by every slot of one
 // BatchGenerator (or owned wholesale by one Generator). All pages are
 // allocated eagerly at construction, so steady-state admission and release
-// are freelist pushes/pops with no heap traffic.
+// are freelist pushes/pops with no heap traffic. Logits describes its one
+// pooled page, spanning exactly the context, with a pool of its own.
 type kvPagePool struct {
 	layers     int
 	kvDim      int

@@ -145,7 +145,7 @@ func TestRunnerMatchesTrainingForward(t *testing.T) {
 			tokens := []int{5, 1, 29, 8, 0, 17, 3, 3, 11}
 			tp := autograd.NewTape()
 			want := m.ForwardTrain(tp, tokens).Val
-			got := NewRunner(m).Logits(tokens)
+			got := allLogits(NewRunner(m), tokens)
 			if !got.AllClose(want, 2e-4*(1+want.AbsMax())) {
 				t.Fatalf("runner and training forward diverge (max |Δ| over %v)", want.AbsMax())
 			}
@@ -163,14 +163,14 @@ func TestRunnerWindowAttention(t *testing.T) {
 	tokens := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	tp := autograd.NewTape()
 	want := m.ForwardTrain(tp, tokens).Val
-	got := NewRunner(m).Logits(tokens)
+	got := allLogits(NewRunner(m), tokens)
 	if !got.AllClose(want, 2e-4*(1+want.AbsMax())) {
 		t.Fatal("windowed runner and training forward diverge")
 	}
 	// windowed attention must differ from full attention
 	cfgFull := llamaConfig()
 	mFull, _ := NewModel(cfgFull, rng.New(5))
-	full := NewRunner(mFull).Logits(tokens)
+	full := allLogits(NewRunner(mFull), tokens)
 	if got.AllClose(full, 1e-6) {
 		t.Fatal("window had no effect on logits")
 	}
@@ -216,11 +216,11 @@ func TestPlantOutliersFunctionPreserving(t *testing.T) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			m, _ := NewModel(cfg, rng.New(8))
 			tokens := []int{3, 14, 15, 9, 2, 6}
-			before := NewRunner(m).Logits(tokens)
+			before := allLogits(NewRunner(m), tokens)
 			kBefore := linearInputKurtosis(m, tokens, "layer0.attn.q")
 
 			PlantOutliers(m, []int{2, 17}, 24)
-			after := NewRunner(m).Logits(tokens)
+			after := allLogits(NewRunner(m), tokens)
 			kAfter := linearInputKurtosis(m, tokens, "layer0.attn.q")
 
 			if !before.AllClose(after, 5e-3*(1+before.AbsMax())) {
@@ -300,8 +300,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("config mismatch: %+v vs %+v", m2.Cfg, m.Cfg)
 			}
 			tokens := []int{1, 2, 3, 4}
-			a := NewRunner(m).Logits(tokens)
-			b := NewRunner(m2).Logits(tokens)
+			a := allLogits(NewRunner(m), tokens)
+			b := allLogits(NewRunner(m2), tokens)
 			if !a.AllClose(b, 0) {
 				t.Fatal("loaded model differs bitwise")
 			}

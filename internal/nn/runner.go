@@ -106,14 +106,6 @@ func (r *Runner) SetLinear(name string, op LinearOp) {
 	r.ops[name] = op
 }
 
-// ReplaceAll swaps every linear layer using the factory — the analog of the
-// paper's "convert all nn.Linear layers of models into AnalogLinear".
-func (r *Runner) ReplaceAll(factory func(spec LinearSpec) LinearOp) {
-	for _, spec := range r.model.Linears() {
-		r.ops[spec.Name] = factory(spec)
-	}
-}
-
 // Linear returns the operator currently installed for name.
 func (r *Runner) Linear(name string) LinearOp { return r.ops[name] }
 
@@ -123,22 +115,18 @@ func (r *Runner) Linear(name string) LinearOp { return r.ops[name] }
 // depends only on (operator seed, label), never on how many draws other
 // scopes have consumed. This is what makes parallel evaluation bit-identical
 // to serial evaluation regardless of scheduling order.
+//
+// ForwardIntoRowScoped reads each row of a batch under a different scope:
+// row i draws from scopes[i]'s stream (a WithNoiseScope view of the same
+// operator) exactly as a single-row read on that view would, while the
+// deterministic work — input conversion and the blocked MAC on an analog
+// tile grid — is shared across the whole batch. The decode step rides on
+// it: N in-flight requests' rows form one N×d read whose per-request noise
+// remains a pure function of (deployment, request), independent of which
+// other requests happen to share the batch.
 type NoiseScopedOp interface {
 	LinearOp
 	WithNoiseScope(label string) LinearOp
-}
-
-// RowScopedBatchOp is a ForwardIntoOp that can read each row of a batch
-// under a different noise scope: row i draws from scopes[i]'s stream (a
-// WithNoiseScope view of the same operator) exactly as a single-row
-// ForwardInto on that view would, while the deterministic work — input
-// conversion and the blocked MAC on an analog tile grid — is shared across
-// the whole batch. This is the primitive continuous-batching decode rides:
-// N in-flight requests' current tokens form one N×d read whose per-request
-// noise remains a pure function of (deployment, request), independent of
-// which other requests happen to share the batch.
-type RowScopedBatchOp interface {
-	ForwardIntoOp
 	ForwardIntoRowScoped(out, x *tensor.Matrix, scopes []LinearOp)
 }
 
@@ -168,193 +156,58 @@ func (r *Runner) hasScopedOps() bool {
 	return false
 }
 
-// maskCache memoizes CausalMask results for the inference path: eval
-// workloads re-walk the same few sequence lengths thousands of times, and
-// the masks are read-only once built (attentionInfer only ever adds them
-// into fresh score matrices). Keys are (n, window), so the cache stays
-// bounded by the distinct context lengths seen. The training path keeps
-// building private masks — its tape records gradients through them.
-var maskCache sync.Map
-
-func cachedCausalMask(n, window int) *tensor.Matrix {
-	key := [2]int{n, window}
-	if m, ok := maskCache.Load(key); ok {
-		return m.(*tensor.Matrix)
-	}
-	m, _ := maskCache.LoadOrStore(key, CausalMask(n, window))
-	return m.(*tensor.Matrix)
+// forwardState is the pooled single-sequence state behind Logits and
+// PredictLast: a decode state whose one KV page spans exactly the context,
+// plus the step's scratch. Every buffer is overwritten before it is read,
+// so reuse across calls and goroutines cannot perturb results.
+type forwardState struct {
+	kv   kvPagePool
+	st   decodeState
+	page []float32
+	sc   decodeScratch
 }
 
-func (r *Runner) apply(name string, x *tensor.Matrix) *tensor.Matrix {
-	if r.PreLinear != nil {
-		r.PreLinear(name, x)
-	}
-	op, ok := r.ops[name]
-	if !ok {
-		panic(fmt.Sprintf("nn: no operator for layer %q", name))
-	}
-	return op.Forward(x)
-}
+var forwardPool = sync.Pool{New: func() any { return new(forwardState) }}
 
-// applyInto runs the named operator writing into out (caller-owned, fully
-// overwritten). Operators without a ForwardInto fast path fall back to
-// Forward plus a copy, so custom LinearOps keep working unchanged.
-func (r *Runner) applyInto(name string, x, out *tensor.Matrix) {
-	if r.PreLinear != nil {
-		r.PreLinear(name, x)
-	}
-	op, ok := r.ops[name]
-	if !ok {
-		panic(fmt.Sprintf("nn: no operator for layer %q", name))
-	}
-	if fi, ok := op.(ForwardIntoOp); ok {
-		fi.ForwardInto(out, x)
-		return
-	}
-	res := op.Forward(x)
-	if res.Rows != out.Rows || res.Cols != out.Cols {
-		panic(fmt.Sprintf("nn: %s: result %dx%d, expected %dx%d", name, res.Rows, res.Cols, out.Rows, out.Cols))
-	}
-	copy(out.Data, res.Data)
-}
-
-// inferScratch pools every intermediate activation matrix of one Logits
-// call. All buffers are fully overwritten before being read (linear Into
-// kernels, norm Into helpers and attentionInferInto overwrite their
-// destinations), so reuse across calls and goroutines cannot perturb
-// results — the forward pass stays bit-identical to the historical
-// allocate-per-step implementation while doing no steady-state heap work.
-type inferScratch struct {
-	x    []float32 // residual stream (n × dmodel), updated in place
-	h    []float32 // normed activations / MLP output staging (n × dmodel)
-	q    []float32 // query projection (n × dmodel)
-	k    []float32 // key projection (n × kv width)
-	v    []float32 // value projection (n × kv width)
-	attn []float32 // attention mix output (n × dmodel)
-	o    []float32 // per-block linear output staging (n × dmodel)
-	ff1  []float32 // first MLP projection / gate (n × ff)
-	ff2  []float32 // up projection, LLaMA-style MLP (n × ff)
-	pos  []int     // position indices [0, n)
-}
-
-var inferPool = sync.Pool{New: func() any { return new(inferScratch) }}
-
-func growInt(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// Logits runs the full forward pass, returning (len(tokens) × vocab) logits.
-// Every intermediate activation lives in pooled scratch; the only per-call
-// allocation in steady state is the returned logits matrix.
-func (r *Runner) Logits(tokens []int) *tensor.Matrix {
+// lastLogits runs the context through the decode step as one prefill
+// segment on pooled state and returns that state with the logits after the
+// last token, which stay valid until the caller puts fs back in
+// forwardPool. It panics on an empty or over-long context or an
+// out-of-range token.
+func (r *Runner) lastLogits(tokens []int) (fs *forwardState, logits []float32) {
 	m := r.model
 	n := len(tokens)
 	if n == 0 || n > m.Cfg.MaxSeq {
 		panic("nn: Logits sequence length out of range")
 	}
-	s := inferPool.Get().(*inferScratch)
-	defer inferPool.Put(s)
-	d := m.Cfg.DModel
-	x := tensor.FromSlice(n, d, growF(&s.x, n*d))
-	for i, id := range tokens {
-		if id < 0 || id >= m.Cfg.Vocab {
-			panic(fmt.Sprintf("nn: token %d out of range", id))
-		}
-		copy(x.Row(i), m.TokEmb.Value.Row(id))
+	fs = forwardPool.Get().(*forwardState)
+	layers, kvd := len(m.Blocks), m.Cfg.KVDim()
+	fs.kv = kvPagePool{layers: layers, kvDim: kvd, pageTokens: n, pageLen: layers * 2 * n * kvd, total: 1}
+	fs.st.runner, fs.st.pool, fs.st.pos = r, &fs.kv, 0
+	fs.st.pages = append(fs.st.pages[:0], growF(&fs.page, fs.kv.pageLen))
+	fs.sc.seg1[0] = stepSeg{st: &fs.st, tokens: tokens}
+	out, err := stepSegments(r, fs.sc.seg1[:], &fs.sc)
+	if err != nil {
+		panic(err.Error())
 	}
-	if m.Cfg.Arch == ArchOPT {
-		for i := 0; i < n; i++ {
-			tensor.Axpy(1, m.PosEmb.Value.Row(i), x.Row(i))
-		}
-	}
-	mask := cachedCausalMask(n, m.Cfg.Window)
-	positions := growInt(&s.pos, n)
-	for i := range positions {
-		positions[i] = i
-	}
-	for l, b := range m.Blocks {
-		r.blockInfer(l, b, x, mask, positions, s)
-	}
-	h := tensor.FromSlice(n, d, growF(&s.h, n*d))
-	if m.Cfg.Arch == ArchOPT {
-		layerNormInferInto(h, x, m.FinalNormGain.Value.Row(0), m.FinalNormBias.Value.Row(0))
-	} else {
-		rmsNormInferInto(h, x, m.FinalNormGain.Value.Row(0))
-	}
-	return tensor.MatMul(h, m.LMHead.Value)
+	return fs, out.Row(0)
 }
 
-// blockInfer runs one transformer block over the residual stream x in place,
-// staging every intermediate in the call's pooled scratch.
-func (r *Runner) blockInfer(layer int, b *Block, x, mask *tensor.Matrix, positions []int, s *inferScratch) {
-	m := r.model
-	p := func(s string) string { return r.layerNames[layer][s] }
-	n, d := x.Rows, x.Cols
-
-	h := tensor.FromSlice(n, d, growF(&s.h, n*d))
-	if m.Cfg.Arch == ArchOPT {
-		layerNormInferInto(h, x, b.AttnNormGain.Value.Row(0), b.AttnNormBias.Value.Row(0))
-	} else {
-		rmsNormInferInto(h, x, b.AttnNormGain.Value.Row(0))
-	}
-	q := tensor.FromSlice(n, b.WQ.Value.Cols, growF(&s.q, n*b.WQ.Value.Cols))
-	k := tensor.FromSlice(n, b.WK.Value.Cols, growF(&s.k, n*b.WK.Value.Cols))
-	v := tensor.FromSlice(n, b.WV.Value.Cols, growF(&s.v, n*b.WV.Value.Cols))
-	r.applyInto(p("attn.q"), h, q)
-	r.applyInto(p("attn.k"), h, k)
-	r.applyInto(p("attn.v"), h, v)
-	if m.Cfg.Arch == ArchLLaMA {
-		ropeInferInPlace(q, m.Cfg.HeadDim(), positions, m.Cfg.RoPEBase)
-		ropeInferInPlace(k, m.Cfg.HeadDim(), positions, m.Cfg.RoPEBase)
-	}
-	attn := tensor.FromSlice(n, d, growF(&s.attn, n*d))
-	attentionInferInto(attn, q, k, v, m.Cfg.NHeads, m.Cfg.KVHeads(), mask)
-	o := tensor.FromSlice(n, d, growF(&s.o, n*d))
-	r.applyInto(p("attn.o"), attn, o)
-	x.AddInPlace(o)
-
-	if m.Cfg.Arch == ArchOPT {
-		layerNormInferInto(h, x, b.MLPNormGain.Value.Row(0), b.MLPNormBias.Value.Row(0))
-		ff := b.W1.Value.Cols
-		f1 := tensor.FromSlice(n, ff, growF(&s.ff1, n*ff))
-		r.applyInto(p("mlp.fc1"), h, f1)
-		f1.ApplyInPlace(func(v float32) float32 {
-			if v > 0 {
-				return v
-			}
-			return 0
-		})
-		r.applyInto(p("mlp.fc2"), f1, o)
-	} else {
-		rmsNormInferInto(h, x, b.MLPNormGain.Value.Row(0))
-		ff := b.WGate.Value.Cols
-		gate := tensor.FromSlice(n, ff, growF(&s.ff1, n*ff))
-		r.applyInto(p("mlp.gate"), h, gate)
-		gate.ApplyInPlace(siluScalar)
-		up := tensor.FromSlice(n, ff, growF(&s.ff2, n*ff))
-		r.applyInto(p("mlp.up"), h, up)
-		gate.MulInPlace(up)
-		r.applyInto(p("mlp.down"), gate, o)
-	}
-	x.AddInPlace(o)
+// Logits returns the next-token logits after the last token of the context
+// (length vocab, freshly allocated). The context runs through the same
+// decode step as generation, as one prefill segment.
+func (r *Runner) Logits(tokens []int) []float32 {
+	fs, logits := r.lastLogits(tokens)
+	defer forwardPool.Put(fs)
+	return append([]float32(nil), logits...)
 }
 
 // PredictLast returns the argmax next-token prediction at the final
 // position of the context.
 func (r *Runner) PredictLast(context []int) int {
-	logits := r.Logits(context)
-	last := logits.Row(logits.Rows - 1)
-	best, bi := float32(math.Inf(-1)), 0
-	for j, v := range last {
-		if v > best {
-			best, bi = v, j
-		}
-	}
-	return bi
+	fs, logits := r.lastLogits(context)
+	defer forwardPool.Put(fs)
+	return argmax(logits)
 }
 
 // EvalResult summarizes one evaluation pass over a sequence set.
@@ -498,6 +351,11 @@ func (r *Runner) evalCtx(ctx context.Context, sequences [][]int, workers int) (E
 }
 
 // --- digital inference kernels (mirror the autograd forward exactly) ---
+//
+// Every product that feeds a sum is rounded explicitly — float32(x*y), not
+// x*y — because the Go spec lets a compiler fuse a*b+c into one FMA (arm64
+// does), and an explicit conversion is what forbids that fusion; the same
+// holds for attendCachedRow.
 
 func layerNormInferInto(out, x *tensor.Matrix, gain, bias []float32) {
 	for i := 0; i < x.Rows; i++ {
@@ -510,13 +368,13 @@ func layerNormInferInto(out, x *tensor.Matrix, gain, bias []float32) {
 		var varr float64
 		for _, v := range row {
 			d := float64(v) - mean
-			varr += d * d
+			varr += float64(d * d)
 		}
 		varr /= float64(x.Cols)
 		is := float32(1 / math.Sqrt(varr+normEps))
 		o := out.Row(i)
 		for j, v := range row {
-			o[j] = (v-float32(mean))*is*gain[j] + bias[j]
+			o[j] = float32((v-float32(mean))*is*gain[j]) + bias[j]
 		}
 	}
 }
@@ -526,7 +384,7 @@ func rmsNormInferInto(out, x *tensor.Matrix, gain []float32) {
 		row := x.Row(i)
 		var ms float64
 		for _, v := range row {
-			ms += float64(v) * float64(v)
+			ms += float64(float64(v) * float64(v))
 		}
 		ms /= float64(x.Cols)
 		ir := float32(1 / math.Sqrt(ms+normEps))
@@ -574,54 +432,8 @@ func ropeInferInPlace(x *tensor.Matrix, headDim int, positions []int, base float
 			theta := pos * freqs[c%(headDim/2)]
 			co, si := float32(math.Cos(theta)), float32(math.Sin(theta))
 			x0, x1 := row[2*c], row[2*c+1]
-			row[2*c] = x0*co - x1*si
-			row[2*c+1] = x0*si + x1*co
+			row[2*c] = float32(x0*co) - float32(x1*si)
+			row[2*c+1] = float32(x0*si) + float32(x1*co)
 		}
 	}
-}
-
-// attnScratch pools the per-head working matrices of attentionInfer so the
-// inference attention path stops allocating per head per layer per call.
-// Every buffer is fully overwritten before it is read (the Into kernels
-// zero their destinations), so reuse cannot perturb results.
-type attnScratch struct {
-	qh, kh, vh, scores, av []float32
-}
-
-var attnPool = sync.Pool{New: func() any { return new(attnScratch) }}
-
-func growF(buf *[]float32, n int) []float32 {
-	if cap(*buf) < n {
-		*buf = make([]float32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// attentionInferInto writes multi-head attention into out (q.Rows × q.Cols,
-// fully overwritten), staging per-head slices in pooled scratch.
-func attentionInferInto(out, q, k, v *tensor.Matrix, nHeads, kvHeads int, mask *tensor.Matrix) {
-	dh := q.Cols / nHeads
-	group := nHeads / kvHeads
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	s := attnPool.Get().(*attnScratch)
-	qh := tensor.FromSlice(q.Rows, dh, growF(&s.qh, q.Rows*dh))
-	kh := tensor.FromSlice(k.Rows, dh, growF(&s.kh, k.Rows*dh))
-	vh := tensor.FromSlice(v.Rows, dh, growF(&s.vh, v.Rows*dh))
-	av := tensor.FromSlice(q.Rows, dh, growF(&s.av, q.Rows*dh))
-	scores := tensor.FromSlice(q.Rows, k.Rows, growF(&s.scores, q.Rows*k.Rows))
-	for h := 0; h < nHeads; h++ {
-		lo, hi := h*dh, (h+1)*dh
-		kvLo := (h / group) * dh
-		q.SliceColsInto(qh, lo, hi)
-		k.SliceColsInto(kh, kvLo, kvLo+dh)
-		v.SliceColsInto(vh, kvLo, kvLo+dh)
-		tensor.MatMulTInto(scores, qh, kh)
-		scores.ScaleInPlace(scale)
-		scores.AddInPlace(mask)
-		scores.SoftmaxRows()
-		tensor.MatMulInto(av, scores, vh)
-		out.PasteCols(lo, av)
-	}
-	attnPool.Put(s)
 }

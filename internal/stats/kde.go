@@ -72,9 +72,6 @@ func NewKDE(xs []float32, bandwidth float64) *KDE {
 	return k
 }
 
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // At evaluates the density estimate at x.
 func (k *KDE) At(x float64) float64 {
 	if len(k.samples) == 0 {
