@@ -147,9 +147,9 @@ type CostReport struct {
 // counting (each MVMRow is one sequential attempt here — a conservative
 // serial bound).
 func (m CostModel) AnalogCost(c OpCounters) CostReport {
-	energy := float64(c.DACConvs)*m.DACEnergyPJ +
-		float64(c.ADCConvs)*m.ADCEnergyPJ +
-		float64(c.CellReads)*m.CellReadEnergyPJ
+	energy := float64(float64(c.DACConvs)*m.DACEnergyPJ) +
+		float64(float64(c.ADCConvs)*m.ADCEnergyPJ) +
+		float64(float64(c.CellReads)*m.CellReadEnergyPJ)
 	latency := float64(c.MVMs+c.BMRetries) * m.TileMVMLatencyNS
 	return CostReport{EnergyPJ: energy, LatencyNS: latency, Counters: c}
 }
@@ -159,7 +159,7 @@ func (m CostModel) AnalogCost(c OpCounters) CostReport {
 func (m CostModel) DigitalCost(macs int64, rows int64) CostReport {
 	return CostReport{
 		EnergyPJ:  float64(macs) * m.DigitalMACPJ,
-		LatencyNS: float64(macs)/m.DigitalMACPerNS + float64(rows)*m.DigitalRowOverNS,
+		LatencyNS: float64(macs)/m.DigitalMACPerNS + float64(float64(rows)*m.DigitalRowOverNS),
 	}
 }
 

@@ -152,7 +152,7 @@ func (t *Tile) programCell(target, lo, hi float32, r *rng.Rand) float32 {
 		if mag < 0 {
 			mag = -mag
 		}
-		w := target + t.progSigma(mag)*r.NormFloat32()
+		w := target + float32(t.progSigma(mag)*r.NormFloat32())
 		if w > hi {
 			w = hi
 		} else if w < lo {
@@ -163,7 +163,7 @@ func (t *Tile) programCell(target, lo, hi float32, r *rng.Rand) float32 {
 	w := pulse()
 	tol := t.cfg.pvTol()
 	for iter := 0; iter < t.cfg.PVRetries; iter++ {
-		read := w + t.cfg.WNoise*r.NormFloat32()
+		read := w + float32(t.cfg.WNoise*r.NormFloat32())
 		dev := read - target
 		if dev < 0 {
 			dev = -dev
@@ -187,7 +187,7 @@ func (t *Tile) pvRetry(pl *progPlane, r *rng.Rand) {
 	for iter := 0; iter < t.cfg.PVRetries; iter++ {
 		fixed := false
 		for i := range pl.programmed {
-			read := pl.programmed[i] + t.cfg.WNoise*r.NormFloat32()
+			read := pl.programmed[i] + float32(t.cfg.WNoise*r.NormFloat32())
 			dev := read - pl.ideal[i]
 			if dev < 0 {
 				dev = -dev
@@ -202,7 +202,7 @@ func (t *Tile) pvRetry(pl *progPlane, r *rng.Rand) {
 			if mag < 0 {
 				mag = -mag
 			}
-			w := pl.ideal[i] + t.progSigma(mag)*r.NormFloat32()
+			w := pl.ideal[i] + float32(t.progSigma(mag)*r.NormFloat32())
 			if w > pl.hi {
 				w = pl.hi
 			} else if w < pl.lo {

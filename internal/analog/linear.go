@@ -363,7 +363,7 @@ func (l *AnalogLinear) AlphaGammaMean(x *tensor.Matrix) float64 {
 				cMean += float64(c)
 			}
 			cMean /= float64(len(scales))
-			total += alphaMean * cMean
+			total += float64(alphaMean * cMean)
 			nTiles++
 		}
 	}

@@ -106,7 +106,7 @@ func NewSlicedTile(cfg Config, ws *tensor.Matrix, slices, sliceBits int, progRng
 	for s := 0; s < slices; s++ {
 		cs := st.slices[s].ColScales()
 		for j := range st.colScale {
-			st.colScale[j] += float32(pow) * cs[j]
+			st.colScale[j] += float32(float32(pow) * cs[j])
 		}
 		pow *= radix
 	}
@@ -197,6 +197,6 @@ func (st *SlicedTile) finishRow(coef float32, dst []float32, ip *inputPrep, p *t
 		pow *= float32(st.radix)
 	}
 	for j, v := range comp {
-		dst[j] += coef * v
+		dst[j] += float32(coef * v)
 	}
 }

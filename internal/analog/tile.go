@@ -153,7 +153,7 @@ func (t *Tile) progSigma(mag float32) float32 {
 	if t.cfg.ProgPoly != [3]float32{} {
 		c0, c1, c2 = t.cfg.ProgPoly[0], t.cfg.ProgPoly[1], t.cfg.ProgPoly[2]
 	}
-	return t.cfg.ProgNoiseScale * (c0 + c1*mag + c2*mag*mag)
+	return t.cfg.ProgNoiseScale * (c0 + float32(c1*mag) + float32(c2*mag*mag))
 }
 
 // drawNu fills a matrix with clipped per-device drift exponents, scaled by
@@ -194,13 +194,13 @@ func (t *Tile) writeVerify(programmed, ideal []float32, lo, hi float32, vr *rng.
 	for iter := 0; iter < t.cfg.WriteVerify; iter++ {
 		vr.FillNormal(noise, 0, 1)
 		for i := range programmed {
-			read := programmed[i] + t.cfg.WNoise*noise[2*i]
+			read := programmed[i] + float32(t.cfg.WNoise*noise[2*i])
 			resid := ideal[i] - read
 			mag := resid
 			if mag < 0 {
 				mag = -mag
 			}
-			w := programmed[i] + resid + t.progSigma(mag)*noise[2*i+1]
+			w := programmed[i] + resid + float32(t.progSigma(mag)*noise[2*i+1])
 			if w > hi {
 				w = hi
 			} else if w < lo {
@@ -223,7 +223,7 @@ func (t *Tile) programSigned(ideal *tensor.Matrix, progRng *rng.Rand) {
 			if mag < 0 {
 				mag = -mag
 			}
-			w += t.progSigma(mag) * noise[i]
+			w += float32(t.progSigma(mag) * noise[i])
 			if w > 1 {
 				w = 1
 			} else if w < -1 {
@@ -272,7 +272,7 @@ func (t *Tile) programDifferential(ideal *tensor.Matrix, progRng *rng.Rand) {
 		program := func(plane []float32, label string) {
 			progRng.Split(label).FillNormal(noise, 0, 1)
 			for i, g := range plane {
-				g += t.progSigma(g) * noise[i]
+				g += float32(t.progSigma(g) * noise[i])
 				if g < 0 {
 					g = 0
 				} else if g > 1 {
@@ -342,7 +342,7 @@ func (t *Tile) SetTime(tSec float64) {
 	}
 	logBase := math.Log(base)
 	decay := func(g, nu float32) float32 {
-		return g * float32(math.Exp(-float64(nu)*logBase))
+		return float32(g * float32(math.Exp(-float64(nu)*logBase)))
 	}
 	t.wEff = tensor.New(t.rows, t.cols)
 	t.absW = nil
@@ -507,9 +507,7 @@ func (t *Tile) finishRow(coef float32, dst []float32, ip *inputPrep, p *tilePrep
 		}
 
 		// Digital rescale by α·γ_j·g_max (Eq. 3).
-		for j := range z {
-			dst[j] += coef * (scale * t.colScale[j] * z[j] * t.driftComp)
-		}
+		tensor.RescaleAddInto(dst[:len(z)], t.colScale, z, coef, scale, t.driftComp)
 		break
 	}
 	t.recordMVM(attempts, reads)
@@ -520,7 +518,7 @@ func (t *Tile) finishRow(coef float32, dst []float32, ip *inputPrep, p *tilePrep
 func norm2(v []float32) float64 {
 	var s float64
 	for _, x := range v {
-		s += float64(x) * float64(x)
+		s += float64(float64(x) * float64(x))
 	}
 	return s
 }
@@ -573,14 +571,7 @@ func (t *Tile) digitizeRow(z []float32, xnorm2 float64, load []float32, r *rng.R
 
 	// Deterministic IR-drop: columns sinking more current droop more.
 	if load != nil {
-		invRows := 1 / float32(t.rows)
-		for j := range z {
-			att := cfg.IRDropScale * irGamma * load[j] * invRows
-			if att > 0.9 {
-				att = 0.9
-			}
-			z[j] *= 1 - att
-		}
+		tensor.IRDropInPlace(z, load, cfg.IRDropScale*irGamma, 1/float32(t.rows))
 	}
 
 	// S-shape device nonlinearity, then additive output noise.
@@ -609,22 +600,9 @@ func (t *Tile) digitizeRow(z []float32, xnorm2 float64, load []float32, r *rng.R
 	limit := cfg.OutBound * 0.999
 	if inv := t.invOutSteps; inv != 0 {
 		// Power-of-two step count: quantizeBounded's (…/half)·bound tail
-		// becomes (…·inv)·bound — an exact reciprocal multiply.
-		bound := cfg.OutBound
-		half := float32(cfg.OutSteps)
-		for j := range z {
-			v := z[j]
-			if v >= limit || v <= -limit {
-				saturated = true
-			}
-			if v > bound {
-				v = bound
-			} else if v < -bound {
-				v = -bound
-			}
-			z[j] = float32(math.Round(float64(v/bound*half))) * inv * bound
-		}
-		return saturated
+		// becomes (…·inv)·bound — an exact reciprocal multiply, in packed
+		// lanes.
+		return tensor.ADCInPlace(z, limit, cfg.OutBound, float32(cfg.OutSteps), inv)
 	}
 	for j := range z {
 		if z[j] >= limit || z[j] <= -limit {
@@ -702,7 +680,7 @@ func (t *Tile) bitSerialReadInto(z, xs []float32, scale float32, r *rng.Rand, s 
 		}
 		f := pow / steps
 		for j := range z {
-			z[j] += f * zb[j]
+			z[j] += float32(f * zb[j])
 		}
 		pow *= 2
 	}

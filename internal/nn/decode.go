@@ -75,6 +75,7 @@ type decodeScratch struct {
 	end                              []float32
 	logits                           []float32
 	scores                           []float32
+	rope                             []float32
 	pos                              []int
 	views                            []LinearOp
 	rowStates                        []*decodeState
@@ -227,8 +228,7 @@ func stepBlock(base *Runner, layer int, b *Block, x *tensor.Matrix, rowStates []
 	applyRowScoped(base, rowStates, names["attn.k"], h, k, sc)
 	applyRowScoped(base, rowStates, names["attn.v"], h, v, sc)
 	if m.Cfg.Arch == ArchLLaMA {
-		ropeInferInPlace(q, m.Cfg.HeadDim(), positions, m.Cfg.RoPEBase)
-		ropeInferInPlace(k, m.Cfg.HeadDim(), positions, m.Cfg.RoPEBase)
+		ropeInferInPlace(q, k, m.Cfg.HeadDim(), positions, m.Cfg.RoPEBase, &sc.rope)
 	}
 	attn := sc.mat(&sc.attnM, &sc.attn, n, d)
 	// Write each row's K/V into its sequence's cache before attending, in
@@ -251,19 +251,14 @@ func stepBlock(base *Runner, layer int, b *Block, x *tensor.Matrix, rowStates []
 		ff := b.W1.Value.Cols
 		f1 := sc.mat(&sc.ff1M, &sc.ff1, n, ff)
 		applyRowScoped(base, rowStates, names["mlp.fc1"], h, f1, sc)
-		f1.ApplyInPlace(func(v float32) float32 {
-			if v > 0 {
-				return v
-			}
-			return 0
-		})
+		reluInPlace(f1.Data)
 		applyRowScoped(base, rowStates, names["mlp.fc2"], f1, o, sc)
 	} else {
 		rmsNormInferInto(h, x, b.MLPNormGain.Value.Row(0))
 		ff := b.WGate.Value.Cols
 		gate := sc.mat(&sc.ff1M, &sc.ff1, n, ff)
 		applyRowScoped(base, rowStates, names["mlp.gate"], h, gate, sc)
-		gate.ApplyInPlace(siluScalar)
+		siluInPlace(gate.Data)
 		up := sc.mat(&sc.ff2M, &sc.ff2, n, ff)
 		applyRowScoped(base, rowStates, names["mlp.up"], h, up, sc)
 		gate.MulInPlace(up)

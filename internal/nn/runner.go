@@ -395,8 +395,22 @@ func rmsNormInferInto(out, x *tensor.Matrix, gain []float32) {
 	}
 }
 
-func siluScalar(v float32) float32 {
-	return float32(float64(v) / (1 + math.Exp(-float64(v))))
+// reluInPlace replaces every element of v that is not > 0 by +0, so −0
+// and NaN become +0 too.
+func reluInPlace(v []float32) {
+	for i, x := range v {
+		if !(x > 0) {
+			v[i] = 0
+		}
+	}
+}
+
+// siluInPlace replaces every element x of v by x·sigmoid(x), evaluated in
+// float64.
+func siluInPlace(v []float32) {
+	for i, x := range v {
+		v[i] = float32(float64(x) / (1 + math.Exp(-float64(x))))
+	}
 }
 
 // ropeFreqCache memoizes the per-index RoPE frequencies base^(−2i/headDim):
@@ -423,17 +437,36 @@ func ropeFreqs(headDim int, base float64) []float64 {
 	return f.([]float64)
 }
 
-func ropeInferInPlace(x *tensor.Matrix, headDim int, positions []int, base float64) {
+// ropeInferInPlace rotates every head of q and k (rows at positions) by
+// RoPE. A row's angles pos·freq_i depend only on its position and the pair
+// index i < headDim/2, so their cosines and sines are computed once per
+// row, into the scratch cs, and shared by all heads of both matrices.
+func ropeInferInPlace(q, k *tensor.Matrix, headDim int, positions []int, base float64, cs *[]float32) {
 	freqs := ropeFreqs(headDim, base)
-	for r := 0; r < x.Rows; r++ {
+	half := len(freqs)
+	buf := growF(cs, 2*half)
+	co, si := buf[:half], buf[half:]
+	for r := 0; r < q.Rows; r++ {
 		pos := float64(positions[r])
-		row := x.Row(r)
-		for c := 0; c < x.Cols/2; c++ {
-			theta := pos * freqs[c%(headDim/2)]
-			co, si := float32(math.Cos(theta)), float32(math.Sin(theta))
-			x0, x1 := row[2*c], row[2*c+1]
-			row[2*c] = float32(x0*co) - float32(x1*si)
-			row[2*c+1] = float32(x0*si) + float32(x1*co)
+		for i, f := range freqs {
+			theta := pos * f
+			co[i], si[i] = float32(math.Cos(theta)), float32(math.Sin(theta))
+		}
+		ropeRow(q.Row(r), co, si)
+		ropeRow(k.Row(r), co, si)
+	}
+}
+
+// ropeRow rotates each column pair (2c, 2c+1) of row by the angle of pair
+// index c mod len(co).
+func ropeRow(row, co, si []float32) {
+	i := 0
+	for c := 0; c < len(row)/2; c++ {
+		x0, x1 := row[2*c], row[2*c+1]
+		row[2*c] = float32(x0*co[i]) - float32(x1*si[i])
+		row[2*c+1] = float32(x0*si[i]) + float32(x1*co[i])
+		if i++; i == len(co) {
+			i = 0
 		}
 	}
 }

@@ -28,26 +28,53 @@ func boxMullerGeneric(u, v []float64) {
 // hands boxMullerBlock at once.
 const pairBlock = 64
 
-// normBlock is the stack scratch of one batched fill: pair k's uniforms,
-// then its normals (cos value in u[k], sin value in v[k]).
+// normBlock is the scratch of the batched fills: pair k's uniforms, then
+// its normals (cos value in u[k], sin value in v[k]).
 type normBlock struct {
 	u, v [pairBlock]float64
 }
 
 // nextPairs draws n = min(pairs, pairBlock) fresh Box-Muller pairs, exactly
-// as n normPair calls would, into b.u[:n] and b.v[:n], and returns n.
-func (r *Rand) nextPairs(b *normBlock, pairs int) int {
-	n := min(pairs, pairBlock)
+// as n normPair calls would, into b.u[:n] and b.v[:n] of r's fill scratch b
+// (allocated on first use), and returns b and n.
+func (r *Rand) nextPairs(pairs int) (b *normBlock, n int) {
+	if r.blk == nil {
+		r.blk = new(normBlock)
+	}
+	b = r.blk
+	n = min(pairs, pairBlock)
 	r.uniformPairs(b.u[:n], b.v[:n])
 	m := n
-	if m&1 != 0 {
-		// The kernel runs two pairs per step: pad with a valid pair whose
-		// normals are dropped. pairBlock is even, so there is room.
+	for ; m&3 != 0; m++ {
+		// The kernel runs four pairs per step: pad with valid pairs whose
+		// normals are dropped. pairBlock is a multiple of 4, so there is
+		// room.
 		b.u[m], b.v[m] = 0.5, 0
-		m++
 	}
 	boxMullerBlock(b.u[:m], b.v[:m])
-	return n
+	return b, n
+}
+
+// scalePairsGeneric is the portable definition of scalePairs: pair k's
+// normals (c[k], s[k]) become d[2k] = mu + sigma·float32(c[k]) and
+// d[2k+1] = mu + sigma·float32(s[k]), the values FillNormal hands out.
+func scalePairsGeneric(d []float32, c, s []float64, mu, sigma float32) {
+	d, s = d[:2*len(c)], s[:len(c)]
+	for k, ck := range c {
+		d[2*k] = mu + float32(sigma*float32(ck))
+		d[2*k+1] = mu + float32(sigma*float32(s[k]))
+	}
+}
+
+// addPairsGeneric is the portable definition of addPairs: pair k's normals
+// (c[k], s[k]) add into dst in the draw order, d[2k] += sigma·float32(c[k])
+// and d[2k+1] += sigma·float32(s[k]).
+func addPairsGeneric(d []float32, c, s []float64, sigma float32) {
+	d, s = d[:2*len(c)], s[:len(c)]
+	for k, ck := range c {
+		d[2*k] += float32(sigma * float32(ck))
+		d[2*k+1] += float32(sigma * float32(s[k]))
+	}
 }
 
 // LCG multipliers and increment factors for stepping k states at once:

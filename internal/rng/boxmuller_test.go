@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// checkBoxMullerBlock runs boxMullerBlock over the pairs (u[k], v[k]) and
-// requires every normal to equal both normPair's scalar transform
-// boxMuller and the portable twin boxMullerGeneric, bit for bit in float64.
+// checkBoxMullerBlock runs boxMullerBlock over the pairs (u[k], v[k]),
+// padded to a multiple of four pairs, and requires every normal to equal
+// both normPair's scalar transform boxMuller and the portable twin
+// boxMullerGeneric, bit for bit in float64.
 func checkBoxMullerBlock(t *testing.T, u, v []float64) {
 	t.Helper()
-	if len(u)%2 == 1 {
+	for len(u)%4 != 0 {
 		u, v = append(u, 0.5), append(v, 0)
 	}
 	gu, gv := append([]float64(nil), u...), append([]float64(nil), v...)

@@ -75,6 +75,11 @@ type Rand struct {
 	// cached second Gaussian from Box-Muller (StreamV1 only)
 	gauss float64
 	hasG  bool
+
+	// blk is the scratch of the batched StreamV1 fills, allocated by the
+	// first one: a block on the stack would be zeroed, all 1 KiB of it, on
+	// every call.
+	blk *normBlock
 }
 
 const (
@@ -312,7 +317,7 @@ func (r *Rand) zigNorm() float64 {
 		}
 		// Wedge between the rectangle and the density curve.
 		x := float64(j) * zigWn[i]
-		if zigFn[i]+r.Float64()*(zigFn[i-1]-zigFn[i]) < math.Exp(-0.5*x*x) {
+		if zigFn[i]+float64(r.Float64()*(zigFn[i-1]-zigFn[i])) < math.Exp(-0.5*x*x) {
 			return x
 		}
 	}
@@ -365,33 +370,28 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // calling mu + sigma*NormFloat32() once per element; with mu = 0 and
 // sigma = 1 the values are NormFloat32's bit for bit, since a Box-Muller
 // draw is never −0. Whole pairs are drawn in blocks through
-// boxMullerBlock.
+// boxMullerBlock and scaled into dst by scalePairs.
 func (r *Rand) FillNormal(dst []float32, mu, sigma float32) {
 	if r.version == StreamV2 {
 		for i := range dst {
-			dst[i] = mu + sigma*float32(r.zigNorm())
+			dst[i] = mu + float32(sigma*float32(r.zigNorm()))
 		}
 		return
 	}
 	i := 0
 	if r.hasG && len(dst) > 0 {
 		r.hasG = false
-		dst[0] = mu + sigma*float32(r.gauss)
+		dst[0] = mu + float32(sigma*float32(r.gauss))
 		i = 1
 	}
-	var b normBlock
 	for len(dst)-i >= 2 {
-		n := r.nextPairs(&b, (len(dst)-i)/2)
-		d := dst[i : i+2*n]
-		for k, c := range b.u[:n] {
-			d[2*k] = mu + sigma*float32(c)
-			d[2*k+1] = mu + sigma*float32(b.v[k])
-		}
+		b, n := r.nextPairs((len(dst) - i) / 2)
+		scalePairs(dst[i:i+2*n], b.u[:n], b.v[:n], mu, sigma)
 		i += 2 * n
 	}
 	if i < len(dst) {
 		c, s := r.normPair()
-		dst[i] = mu + sigma*float32(c)
+		dst[i] = mu + float32(sigma*float32(c))
 		r.gauss, r.hasG = s, true
 	}
 }
@@ -400,33 +400,30 @@ func (r *Rand) FillNormal(dst []float32, mu, sigma float32) {
 // dst[i] += sigma*N(0,1). The draw order is bit-identical to the scalar
 // loop dst[i] += sigma*NormFloat32() — the batched form exists so hot read
 // paths (input/output/weight-read noise) pay one call instead of one per
-// element, without perturbing any downstream stream state.
+// element, without perturbing any downstream stream state. Whole pairs
+// are drawn in blocks through boxMullerBlock and added into dst by
+// addPairs.
 func (r *Rand) FillNormalAdd(dst []float32, sigma float32) {
 	if r.version == StreamV2 {
 		for i := range dst {
-			dst[i] += sigma * float32(r.zigNorm())
+			dst[i] += float32(sigma * float32(r.zigNorm()))
 		}
 		return
 	}
 	i := 0
 	if r.hasG && len(dst) > 0 {
 		r.hasG = false
-		dst[0] += sigma * float32(r.gauss)
+		dst[0] += float32(sigma * float32(r.gauss))
 		i = 1
 	}
-	var b normBlock
 	for len(dst)-i >= 2 {
-		n := r.nextPairs(&b, (len(dst)-i)/2)
-		d := dst[i : i+2*n]
-		for k, c := range b.u[:n] {
-			d[2*k] += sigma * float32(c)
-			d[2*k+1] += sigma * float32(b.v[k])
-		}
+		b, n := r.nextPairs((len(dst) - i) / 2)
+		addPairs(dst[i:i+2*n], b.u[:n], b.v[:n], sigma)
 		i += 2 * n
 	}
 	if i < len(dst) {
 		c, s := r.normPair()
-		dst[i] += sigma * float32(c)
+		dst[i] += float32(sigma * float32(c))
 		r.gauss, r.hasG = s, true
 	}
 }
@@ -435,6 +432,6 @@ func (r *Rand) FillNormalAdd(dst []float32, sigma float32) {
 func (r *Rand) FillUniform(dst []float32, lo, hi float32) {
 	span := hi - lo
 	for i := range dst {
-		dst[i] = lo + span*r.Float32()
+		dst[i] = lo + float32(span*r.Float32())
 	}
 }

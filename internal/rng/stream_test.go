@@ -150,7 +150,12 @@ const v1Digest = 0x4073ba5d56071392
 // pair cache from one call into the next — until at least 2^20 values are
 // drawn. Every value must equal the hand-rolled replay bit for bit, and
 // the digest of all of them must equal v1Digest.
-func TestStreamV1Unchanged(t *testing.T) {
+func TestStreamV1Unchanged(t *testing.T) { checkStreamV1Digest(t) }
+
+// checkStreamV1Digest is TestStreamV1Unchanged's body, shared with the
+// run that switches the packed kernels off.
+func checkStreamV1Digest(t *testing.T) {
+	t.Helper()
 	r := NewStream(42, StreamV1)
 	ref := &bmReplay{u: New(42)}
 	sched := New(7)

@@ -2,30 +2,13 @@
 
 package tensor
 
+import "nora/internal/cpufeat"
+
 // useAVX2 selects the AVX2 kernels of kernel_amd64.s. It is fixed at
-// start-up from CPUID/XGETBV: without AVX2 (or an OS that does not save the
-// YMM state) every kernel below runs its portable twin instead. Both paths
-// give identical bits; the flag only decides speed.
-var useAVX2 = cpuHasAVX2()
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax uint32)
-
-// cpuHasAVX2 reports whether the CPU supports AVX2 and the OS has enabled
-// the XMM and YMM register state (OSXSAVE, then XCR0 bits 1 and 2).
-func cpuHasAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 || xgetbv()&6 != 6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
-}
+// start-up by the shared CPUID probe: without AVX2 (or an OS that does not
+// save the YMM state) every kernel below runs its portable twin instead.
+// Both paths give identical bits; the flag only decides speed.
+var useAVX2 = cpufeat.AVX2
 
 //go:noescape
 func macPanelAVX2(dst, x, b *float32, n, kc, ld int)
@@ -38,6 +21,15 @@ func absMaxAVX2(v *float32, n int) float32
 
 //go:noescape
 func quantizeAVX2(dst, src *float32, n int, scale, half, inv float32)
+
+//go:noescape
+func adcAVX2(z *float32, n int, limit, bound, half, inv float32) bool
+
+//go:noescape
+func irDropAVX2(z, load *float32, n int, drop, invRows float32)
+
+//go:noescape
+func rescaleAddAVX2(dst, c, z *float32, n int, coef, alpha, drift float32)
 
 // macPanel computes dst[j] += x[k]·b[k·ld+j] for j < len(dst), k < len(x);
 // see macPanelGeneric.
@@ -88,5 +80,39 @@ func quantizeBlock(dst, src []float32, scale, half, inv float32) int {
 	}
 	_ = dst[len(src)-1]
 	quantizeAVX2(&dst[0], &src[0], n, scale, half, inv)
+	return n
+}
+
+// adcBlock runs ADCInPlace's packed kernel over a prefix of z (a multiple
+// of 8 elements) and returns its length and whether it saturated.
+func adcBlock(z []float32, limit, bound, half, inv float32) (int, bool) {
+	n := len(z) &^ 7
+	if !useAVX2 || n == 0 {
+		return 0, false
+	}
+	return n, adcAVX2(&z[0], n, limit, bound, half, inv)
+}
+
+// irDropBlock runs IRDropInPlace's packed kernel over a prefix of z (a
+// multiple of 8 elements) and returns its length.
+func irDropBlock(z, load []float32, drop, invRows float32) int {
+	n := len(z) &^ 7
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	_ = load[len(z)-1]
+	irDropAVX2(&z[0], &load[0], n, drop, invRows)
+	return n
+}
+
+// rescaleAddBlock runs RescaleAddInto's packed kernel over a prefix of dst
+// (a multiple of 8 elements) and returns its length.
+func rescaleAddBlock(dst, c, z []float32, coef, alpha, drift float32) int {
+	n := len(dst) &^ 7
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	_, _ = c[len(dst)-1], z[len(dst)-1]
+	rescaleAddAVX2(&dst[0], &c[0], &z[0], n, coef, alpha, drift)
 	return n
 }

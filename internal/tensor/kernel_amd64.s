@@ -8,24 +8,6 @@
 // as the scalar ops do, and every output element receives its addends in
 // strictly increasing k order.
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	RET
-
 // func macPanelAVX2(dst, x, b *float32, n, kc, ld int)
 //
 // dst[j] += x[k]·b[k·ld+j] for j < n, k < kc (kc ≥ 1), skipping x[k] = ±0.
@@ -376,5 +358,134 @@ q8:
 	ADDQ         $32, DI
 	SUBQ         $8, CX
 	JNZ          q8
+	VZEROUPPER
+	RET
+
+// func adcAVX2(z *float32, n int, limit, bound, half, inv float32) bool
+//
+// The ADC conversion of ADCInPlace over a positive multiple-of-8 n, in
+// place: z[k] = round(clamp(z[k], ±bound)/bound·half)·inv·bound, and the
+// result reports whether any z[k] ≥ limit or z[k] ≤ −limit. The two
+// compares are ordered (false on NaN), as the scalar ones are, and their
+// lanes OR into one mask that is read once at the end. The clamp and the
+// rounding are quantizeAVX2's: VMINPS(bound, v) then VMAXPS(−bound, ·)
+// with v as the second source, so NaN and −0 pass through, and
+// trunc(f + copysign(0.49999999999999994, f)) in float64 for math.Round.
+TEXT ·adcAVX2(SB), NOSPLIT, $0-33
+	MOVQ         z+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSS limit+16(FP), Y10
+	VBROADCASTSS bound+20(FP), Y11
+	VBROADCASTSS half+24(FP), Y13
+	VBROADCASTSS inv+28(FP), Y14
+	MOVL         $0x80000000, AX // float32 sign bit
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15
+	VXORPS       Y15, Y11, Y12   // −bound
+	VXORPS       Y15, Y10, Y7    // −limit
+	MOVQ         $0x3fdfffffffffffff, AX // 0.49999999999999994
+	VMOVQ        AX, X9
+	VPBROADCASTQ X9, Y9
+	MOVQ         $1, AX
+	SHLQ         $63, AX         // float64 sign bit
+	VMOVQ        AX, X8
+	VPBROADCASTQ X8, Y8
+	VXORPS       Y6, Y6, Y6      // saturation lanes
+
+a8:
+	VMOVUPS      (DI), Y0
+	VCMPPS       $0x0d, Y10, Y0, Y1 // v ≥ limit
+	VCMPPS       $0x02, Y7, Y0, Y2  // v ≤ −limit
+	VORPS        Y1, Y6, Y6
+	VORPS        Y2, Y6, Y6
+	VMINPS       Y0, Y11, Y0        // (bound < v) ? bound : v
+	VMAXPS       Y0, Y12, Y0        // (−bound > v) ? −bound : v
+	VDIVPS       Y11, Y0, Y0        // v/bound
+	VMULPS       Y13, Y0, Y0        // f = v/bound·half
+	VCVTPS2PD    X0, Y1
+	VEXTRACTF128 $1, Y0, X2
+	VCVTPS2PD    X2, Y2
+	VANDPD       Y8, Y1, Y3
+	VORPD        Y9, Y3, Y3
+	VADDPD       Y3, Y1, Y1
+	VROUNDPD     $3, Y1, Y1         // truncate
+	VANDPD       Y8, Y2, Y4
+	VORPD        Y9, Y4, Y4
+	VADDPD       Y4, Y2, Y2
+	VROUNDPD     $3, Y2, Y2
+	VCVTPD2PSY   Y1, X1
+	VCVTPD2PSY   Y2, X2
+	VINSERTF128  $1, X2, Y1, Y1
+	VMULPS       Y14, Y1, Y1        // ·inv
+	VMULPS       Y11, Y1, Y1        // ·bound
+	VMOVUPS      Y1, (DI)
+	ADDQ         $32, DI
+	SUBQ         $8, CX
+	JNZ          a8
+	VMOVMSKPS    Y6, AX
+	TESTL        AX, AX
+	SETNE        ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func irDropAVX2(z, load *float32, n int, drop, invRows float32)
+//
+// z[k] *= 1 − min(0.9, (drop·load[k])·invRows) over a positive multiple-of-8
+// n. The min is VMINPS(0.9, att) with att as the second source, which is
+// the scalar (att > 0.9) ? 0.9 : att, NaN included.
+TEXT ·irDropAVX2(SB), NOSPLIT, $0-32
+	MOVQ         z+0(FP), DI
+	MOVQ         load+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS drop+24(FP), Y10
+	VBROADCASTSS invRows+28(FP), Y11
+	MOVL         $0x3f666666, AX // float32(0.9)
+	VMOVD        AX, X12
+	VPBROADCASTD X12, Y12
+	MOVL         $0x3f800000, AX // 1
+	VMOVD        AX, X13
+	VPBROADCASTD X13, Y13
+
+i8:
+	VMULPS  (SI), Y10, Y0 // drop·load
+	VMULPS  Y11, Y0, Y0   // ·invRows
+	VMINPS  Y0, Y12, Y0   // (0.9 < att) ? 0.9 : att
+	VSUBPS  Y0, Y13, Y0   // 1 − att
+	VMOVUPS (DI), Y1
+	VMULPS  Y0, Y1, Y1    // z·(1 − att)
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JNZ     i8
+	VZEROUPPER
+	RET
+
+// func rescaleAddAVX2(dst, c, z *float32, n int, coef, alpha, drift float32)
+//
+// dst[k] += coef·(((alpha·c[k])·z[k])·drift) over a positive multiple-of-8
+// n: four separate multiplies in the scalar order, then the add.
+TEXT ·rescaleAddAVX2(SB), NOSPLIT, $0-44
+	MOVQ         dst+0(FP), DI
+	MOVQ         c+8(FP), SI
+	MOVQ         z+16(FP), DX
+	MOVQ         n+24(FP), CX
+	VBROADCASTSS coef+32(FP), Y10
+	VBROADCASTSS alpha+36(FP), Y11
+	VBROADCASTSS drift+40(FP), Y12
+
+r8:
+	VMULPS  (SI), Y11, Y0 // alpha·c
+	VMULPS  (DX), Y0, Y0  // ·z
+	VMULPS  Y12, Y0, Y0   // ·drift
+	VMULPS  Y0, Y10, Y0   // coef·(…)
+	VMOVUPS (DI), Y1
+	VADDPS  Y0, Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JNZ     r8
 	VZEROUPPER
 	RET

@@ -5,6 +5,7 @@ package tensor
 import (
 	"testing"
 
+	"nora/internal/cpufeat"
 	"nora/internal/rng"
 )
 
@@ -16,7 +17,7 @@ import (
 // 64 (the last crosses MatMul's parallel threshold), must give identical
 // bits both ways.
 func TestKernelDispatchBothWays(t *testing.T) {
-	if !cpuHasAVX2() {
+	if !cpufeat.AVX2 {
 		t.Skip("CPU without AVX2: only the portable kernels can run")
 	}
 	defer func(v bool) { useAVX2 = v }(useAVX2)

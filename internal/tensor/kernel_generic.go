@@ -73,3 +73,39 @@ func quantizeUnitGeneric(dst, src []float32, scale, half, inv float32) {
 		dst[k] = float32(math.Round(float64(q*half))) * inv
 	}
 }
+
+// adcGeneric is the scalar definition of ADCInPlace.
+func adcGeneric(z []float32, limit, bound, half, inv float32) (saturated bool) {
+	for j, v := range z {
+		if v >= limit || v <= -limit {
+			saturated = true
+		}
+		if v > bound {
+			v = bound
+		} else if v < -bound {
+			v = -bound
+		}
+		z[j] = float32(math.Round(float64(v/bound*half))) * inv * bound
+	}
+	return saturated
+}
+
+// irDropGeneric is the scalar definition of IRDropInPlace.
+func irDropGeneric(z, load []float32, drop, invRows float32) {
+	load = load[:len(z)]
+	for j, l := range load {
+		att := drop * l * invRows
+		if att > 0.9 {
+			att = 0.9
+		}
+		z[j] *= 1 - att
+	}
+}
+
+// rescaleAddGeneric is the scalar definition of RescaleAddInto.
+func rescaleAddGeneric(dst, c, z []float32, coef, alpha, drift float32) {
+	c, z = c[:len(dst)], z[:len(dst)]
+	for j, cj := range c {
+		dst[j] += float32(coef * (alpha * cj * z[j] * drift))
+	}
+}

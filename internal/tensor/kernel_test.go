@@ -250,3 +250,127 @@ func TestQuantizeUnitIntoEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestADCInPlaceEdges runs ADCInPlace against its twin at every width of
+// macWidths. The background holds only values that do not saturate: every
+// tie (m+½)/half·bound with both float32 neighbours, ±0, subnormals, the
+// neighbours of ±limit that lie inside it, and NaN. Each run then puts the
+// only saturating element (±limit, ±bound and their outer neighbours, ±Inf)
+// at each position in turn, so it visits every packed lane and the scalar
+// tail; the outputs and the saturation flag must match.
+func TestADCInPlaceEdges(t *testing.T) {
+	inf := float32(math.Inf(1))
+	for _, c := range []struct{ half, bound float32 }{{1, 1}, {4, 2}, {64, 1}, {128, 3}, {1024, 0.75}} {
+		half, bound := c.half, c.bound
+		inv := 1 / half
+		limit := bound * 0.999
+		var calm []float32
+		for m := -half; m < half; m++ {
+			tie := (m + 0.5) / half * bound
+			calm = append(calm, tie, math.Nextafter32(tie, inf), math.Nextafter32(tie, -inf))
+		}
+		calm = append(calm, 0, float32(math.Copysign(0, -1)),
+			math.Float32frombits(1), -math.Float32frombits(1),
+			math.Float32frombits(0x00800000), -math.Float32frombits(0x007fffff),
+			math.Nextafter32(limit, 0), math.Nextafter32(-limit, 0), float32(math.NaN()))
+		hot := []float32{limit, -limit, math.Nextafter32(limit, inf), math.Nextafter32(-limit, -inf),
+			bound, -bound, math.Nextafter32(bound, inf), math.Nextafter32(-bound, -inf),
+			math.Nextafter32(bound, 0), math.Nextafter32(-bound, 0), inf, -inf}
+		run := func(what string, src []float32) {
+			t.Helper()
+			got := append([]float32(nil), src...)
+			want := append([]float32(nil), src...)
+			gs := ADCInPlace(got, limit, bound, half, inv)
+			ws := adcGeneric(want, limit, bound, half, inv)
+			requireSameBits(t, what, got, want)
+			if gs != ws {
+				t.Fatalf("%s: saturated %v, twin %v", what, gs, ws)
+			}
+		}
+		for _, n := range macWidths() {
+			base := make([]float32, n)
+			for i := range base {
+				base[i] = calm[(i*7+n)%len(calm)]
+			}
+			run("ADCInPlace calm", base)
+			for p := 0; p < n; p++ {
+				v := append([]float32(nil), base...)
+				v[p] = hot[(p+n)%len(hot)]
+				run("ADCInPlace one saturating", v)
+			}
+		}
+	}
+}
+
+// TestIRDropInPlaceEdges drives the attenuation att = (drop·load)·invRows
+// to exactly 0.9 and to its float32 neighbours on each side, where the
+// clamp switches, in every lane and the scalar tail, among random loads,
+// ±0, subnormals and a NaN load or output.
+func TestIRDropInPlaceEdges(t *testing.T) {
+	r := rng.New(0x1D0)
+	nine := float32(0.9)
+	edges := []float32{nine, math.Nextafter32(nine, 0), math.Nextafter32(nine, 1), 0.5, 2, 0,
+		float32(math.Copysign(0, -1)), math.Float32frombits(1)}
+	for _, c := range []struct{ drop, invRows float32 }{{1, 1}, {0.05, 1.0 / 64}, {0.5 * 0.05, 1.0 / 96}} {
+		for _, n := range macWidths() {
+			z := edgeSlice(r, n, 0.9)
+			load := make([]float32, n)
+			for i := range load {
+				// drop·invRows is exact for these pairs up to one rounding,
+				// so att lands on or next to the edge value.
+				load[i] = edges[(i+n)%len(edges)] / c.invRows / c.drop
+				if r.Intn(3) == 0 {
+					load[i] = r.Float32() * 40 / c.drop
+				}
+			}
+			if n > 2 {
+				load[n/2] = float32(math.NaN())
+				z[n-1] = float32(math.NaN())
+			}
+			got, want := append([]float32(nil), z...), append([]float32(nil), z...)
+			IRDropInPlace(got, load, c.drop, c.invRows)
+			irDropGeneric(want, load, c.drop, c.invRows)
+			requireSameBits(t, "IRDropInPlace", got, want)
+		}
+	}
+	// With drop = invRows = 1 att is the load itself: exactly 0.9 and its
+	// neighbours at every position.
+	for _, n := range macWidths() {
+		for p := 0; p < n; p++ {
+			z := edgeSlice(r, n, 1)
+			load := edgeSlice(r, n, 0.5)
+			for i := range load {
+				load[i] = float32(math.Abs(float64(load[i]))) * 0.1
+			}
+			load[p] = edges[p%3]
+			got, want := append([]float32(nil), z...), append([]float32(nil), z...)
+			IRDropInPlace(got, load, 1, 1)
+			irDropGeneric(want, load, 1, 1)
+			requireSameBits(t, "IRDropInPlace at 0.9", got, want)
+		}
+	}
+}
+
+// TestRescaleAddIntoEdges compares the packed rescale with its twin on
+// random operands with ±0 and subnormals in dst, c and z, and scalar
+// factors from ordinary values down to a subnormal and −0.
+func TestRescaleAddIntoEdges(t *testing.T) {
+	r := rng.New(0x5CA1E)
+	factors := []float32{1, 0.37, 3.5e3, -2, math.Float32frombits(1), float32(math.Copysign(0, -1))}
+	for _, n := range macWidths() {
+		for i, coef := range factors {
+			alpha := factors[(i+1)%len(factors)]
+			drift := factors[(i+2)%len(factors)]
+			if i%2 == 0 {
+				drift = 1
+			}
+			dst := edgeSlice(r, n, 0.7)
+			c := edgeSlice(r, n, 0.9)
+			z := edgeSlice(r, n, 0.8)
+			got, want := append([]float32(nil), dst...), append([]float32(nil), dst...)
+			RescaleAddInto(got, c, z, coef, alpha, drift)
+			rescaleAddGeneric(want, c, z, coef, alpha, drift)
+			requireSameBits(t, "RescaleAddInto", got, want)
+		}
+	}
+}

@@ -84,13 +84,6 @@ func Apply(m *Matrix, f func(float32) float32) *Matrix {
 	return out
 }
 
-// ApplyInPlace applies f elementwise to m.
-func (m *Matrix) ApplyInPlace(f func(float32) float32) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
 // ScaleCols multiplies column k of m by s[k] (returns a new matrix).
 // This is m · diag(s).
 func ScaleCols(m *Matrix, s []float32) *Matrix {
@@ -327,6 +320,36 @@ func AbsMaxVec(v []float32) float32 {
 func QuantizeUnitInto(dst, src []float32, scale, half, inv float32) {
 	n := quantizeBlock(dst, src, scale, half, inv)
 	quantizeUnitGeneric(dst[n:], src[n:], scale, half, inv)
+}
+
+// ADCInPlace is the ADC conversion of Eq. 3 at a power-of-two step count,
+// in place: each z[j] is clamped to ±bound and rounded half away from zero
+// to the grid of 2·half+1 levels, z[j] = round(z[j]/bound·half)·inv·bound
+// with inv = 1/half. It reports whether any input reached the saturation
+// limit (z[j] ≥ limit or z[j] ≤ −limit).
+func ADCInPlace(z []float32, limit, bound, half, inv float32) (saturated bool) {
+	n, saturated := adcBlock(z, limit, bound, half, inv)
+	if adcGeneric(z[n:], limit, bound, half, inv) {
+		saturated = true
+	}
+	return saturated
+}
+
+// IRDropInPlace attenuates each column output z[j] by its bitline IR drop:
+// z[j] *= 1 − min(0.9, (drop·load[j])·invRows), for a column sinking
+// load[j] of a tile with 1/invRows rows at drop coefficient drop.
+func IRDropInPlace(z, load []float32, drop, invRows float32) {
+	n := irDropBlock(z, load, drop, invRows)
+	irDropGeneric(z[n:], load[n:], drop, invRows)
+}
+
+// RescaleAddInto adds coef·(((alpha·c[j])·z[j])·drift) to dst[j], each
+// product in that order: the digital rescale of one analog read by its
+// input scale α, column scales c and drift compensation, times a caller's
+// shift-add weight coef.
+func RescaleAddInto(dst, c, z []float32, coef, alpha, drift float32) {
+	n := rescaleAddBlock(dst, c, z, coef, alpha, drift)
+	rescaleAddGeneric(dst[n:], c[n:], z[n:], coef, alpha, drift)
 }
 
 func checkSame(op string, m, o *Matrix) {

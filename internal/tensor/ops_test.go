@@ -190,10 +190,6 @@ func TestApply(t *testing.T) {
 	if !got.AllClose(FromRows([][]float32{{1, 4}}), 0) {
 		t.Fatalf("Apply = %v", got)
 	}
-	m.ApplyInPlace(func(v float32) float32 { return -v })
-	if m.At(0, 0) != 1 {
-		t.Fatal("ApplyInPlace failed")
-	}
 }
 
 func TestShapeMismatchPanics(t *testing.T) {
