@@ -275,22 +275,6 @@ func BenchmarkAnalogForward(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalogForwardStreamV2 runs the analog forward under the opt-in
-// StreamV2 ziggurat noise stream — statistically equivalent Gaussians, a
-// different (cheaper) draw sequence, separately fingerprinted.
-func BenchmarkAnalogForwardStreamV2(b *testing.B) {
-	w, _ := benchWorkloads(b)
-	cfg := analog.PaperPreset()
-	cfg.NoiseStream = rng.StreamV2
-	runner := core.Deploy(w.Model, core.DeployAnalogNaive, nil, cfg, 1, core.Options{})
-	seq := w.Eval[0][:len(w.Eval[0])-1]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runner.Logits(seq)
-	}
-}
-
 // BenchmarkTrainingStep measures one training step (batch 4) of the tiny
 // OPT-class model — the cost hardware-aware training would pay per step,
 // which NORA avoids.
@@ -355,7 +339,7 @@ func bestToken(logits []float32) int {
 // decodeRunner deploys a mid-size untrained OPT-class model (d=256,
 // 256×256 tiles — big enough that weight streaming, the cost batching
 // amortizes, is visible next to the per-row digitize) under the naive
-// analog stack with the v2 noise stream, once for all decode benchmarks.
+// analog stack, once for all decode benchmarks.
 // Weight quality is irrelevant to throughput, so training is skipped.
 var (
 	decodeOnce sync.Once
@@ -372,7 +356,6 @@ func decodeBenchRunner(b *testing.B) *nn.Runner {
 		}
 		cfg := analog.PaperPreset()
 		cfg.TileRows, cfg.TileCols = 256, 256
-		cfg.NoiseStream = rng.StreamV2
 		decodeRun = core.Deploy(m, core.DeployAnalogNaive, nil, cfg, 42, core.Options{})
 	})
 	return decodeRun
@@ -456,7 +439,6 @@ func mixedBenchRunner(b *testing.B) *nn.Runner {
 		}
 		cfg := analog.PaperPreset()
 		cfg.TileRows, cfg.TileCols = 256, 256
-		cfg.NoiseStream = rng.StreamV2
 		mixedRun = core.Deploy(m, core.DeployAnalogNaive, nil, cfg, 42, core.Options{})
 	})
 	return mixedRun

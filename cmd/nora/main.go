@@ -14,8 +14,7 @@
 // every study into one markdown file with an engine-stats and cost footer.
 //
 // Flags go before the subcommand. Beside the shared ones (-modeldir, -eval,
-// -quick, -noise-stream, -costmodel, -cpuprofile, -memprofile) there are
-// two:
+// -quick, -costmodel, -cpuprofile, -memprofile) there are two:
 //
 //	-csv DIR   also write every table as CSV into DIR: <ID>.csv, or
 //	           <ID>-1.csv, <ID>-2.csv, ... for a study with several tables

@@ -158,10 +158,10 @@ func (b *batchScratch) tilePreps(n int) []tilePrep {
 	return b.preps
 }
 
-// prepareInputs runs the RNG-free input phase over the T rows of xs: α per
-// row and, for reads with a phase-1 MAC, the shared DAC conversion and
-// ‖x̂‖². Rows with α = 0 are zeroed (they contribute nothing and draw
-// nothing in phase 2).
+// prepareInputs runs the RNG-free input phase over the T rows of xs: the
+// noise-management scale α = max_k |x_k| per row (Eq. 5) and, for reads
+// with a phase-1 MAC, the shared DAC conversion and ‖x̂‖². Rows with α = 0
+// are zeroed (they contribute nothing and draw nothing in phase 2).
 func (t *Tile) prepareInputs(ip *inputPrep, xs *tensor.Matrix, bs *batchScratch) {
 	T := xs.Rows
 	ip.xs = xs
@@ -169,7 +169,7 @@ func (t *Tile) prepareInputs(ip *inputPrep, xs *tensor.Matrix, bs *batchScratch)
 	if t.drawsBeforeMAC() {
 		ip.xhat, ip.xnorm2 = nil, nil
 		for i := 0; i < T; i++ {
-			ip.alpha[i] = t.rowAlpha(xs.Row(i))
+			ip.alpha[i] = tensor.AbsMaxVec(xs.Row(i))
 		}
 		return
 	}
@@ -178,7 +178,7 @@ func (t *Tile) prepareInputs(ip *inputPrep, xs *tensor.Matrix, bs *batchScratch)
 	for i := 0; i < T; i++ {
 		row := xs.Row(i)
 		xh := ip.xhat.Row(i)
-		a := t.rowAlpha(row)
+		a := tensor.AbsMaxVec(row)
 		ip.alpha[i] = a
 		if a == 0 {
 			clear(xh)

@@ -1,7 +1,6 @@
 package analog
 
 import (
-	"math"
 	"testing"
 
 	"nora/internal/rng"
@@ -11,9 +10,8 @@ import (
 // The two-phase read (MVMBatchInto / AnalogLinear.forward) promises that a
 // block of T rows reads BIT-IDENTICALLY to T single-row reads in order, for
 // every read mode. These tests pin that promise at the tile level (a block
-// vs T MVMRow calls), at the layer level (how rows are grouped into calls
-// and 64-row chunks, rescaling on/off), and under the opt-in StreamV2
-// noise stream.
+// vs T MVMRow calls) and at the layer level (how rows are grouped into
+// calls and 64-row chunks, rescaling on/off).
 
 // TestMVMBatchIntoMatchesRowLoop drives two identically programmed tiles —
 // one through MVMBatchInto, one through a loop of single-row MVMRow reads —
@@ -114,35 +112,5 @@ func TestForwardBatchSizeInvariance(t *testing.T) {
 				requireBitsEqual(t, name, forwardInPieces(l, x, piece), want)
 			}
 		}
-	}
-}
-
-// TestForwardStreamV2 pins the StreamV2 contract at the layer level: the
-// two-phase read replays the per-tile reference under the ziggurat stream
-// too (the split preserves draw order for any sampler), and V2 results
-// actually differ from V1 (the version reaches the noise streams).
-func TestForwardStreamV2(t *testing.T) {
-	cfg := determinismConfigs()["paper"]
-	cfg.NoiseStream = rng.StreamV2
-	w := randMat(96, 40, 30)
-	x := randMat(97, 2*chunkRows+2, 40)
-
-	want := forwardReference(NewAnalogLinear("l", w, nil, nil, cfg, rng.NewStream(98, rng.StreamV2)), x)
-	l := NewAnalogLinear("l", w, nil, nil, cfg, rng.NewStream(98, rng.StreamV2))
-	requireBitsEqual(t, "stream-v2", l.Forward(x), want)
-
-	v1cfg := cfg
-	v1cfg.NoiseStream = rng.StreamV1
-	v1 := NewAnalogLinear("l", w, nil, nil, v1cfg, rng.New(98))
-	got := v1.Forward(x)
-	same := true
-	for i, v := range got.Data {
-		if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("StreamV2 produced the identical output to StreamV1 — version not reaching the noise pipeline")
 	}
 }

@@ -14,48 +14,15 @@
 //	y_ij = α_i·γ_j · f_adc( Σ_k (ŵ_kj + σ_w ξ)·(f_dac(x_ik/α_i) + σ_in ξ) + σ_out ξ )
 //
 // with per-column weight scales γ_j = max|w_j|/g_max and per-row input
-// scales α_i chosen by noise management. NORA (internal/core) injects its
-// per-channel component s_k by pre-scaling the weight columns and input
-// channels before this mapping (Eq. 6–7).
+// scales α_i = max_k |x_ik| (abs-max noise management). NORA
+// (internal/core) injects its per-channel component s_k by pre-scaling the
+// weight columns and input channels before this mapping (Eq. 6–7).
 package analog
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"nora/internal/rng"
-)
-
-// defaultNoiseStream is the stream version the preset constructors stamp on
-// new Configs; 0 means rng.StreamV1. Process-wide so a single -noise-stream
-// flag reaches every harness experiment that builds its configs internally.
-var defaultNoiseStream atomic.Uint32
-
-// SetDefaultNoiseStream selects the rng stream version PaperPreset, Ideal
-// and their derivatives stamp on the configurations they return. Intended
-// to be set once at process start (the cmd binaries' -noise-stream flag);
-// explicitly constructed Configs are unaffected. The version is part of the
-// config fingerprint, so switching it re-keys every deployment: results
-// under different streams never alias in the engine cache.
-func SetDefaultNoiseStream(v rng.StreamVersion) {
-	defaultNoiseStream.Store(uint32(v.Canon()))
-}
-
-// DefaultNoiseStream returns the stream version presets currently stamp.
-func DefaultNoiseStream() rng.StreamVersion {
-	return rng.StreamVersion(defaultNoiseStream.Load()).Canon()
-}
-
-// NoiseManagement selects how the per-row input scale α_i is chosen.
-type NoiseManagement int
-
-const (
-	// NMAbsMax sets α_i = max_k |x_ik| per input row and tile (the
-	// paper's Eq. 5 and aihwkit's default noise management).
-	NMAbsMax NoiseManagement = iota
-	// NMConstant uses the fixed scale Config.AlphaConst; inputs beyond it
-	// clip at the DAC. Kept as the no-noise-management baseline.
-	NMConstant
 )
 
 // Config holds every tile parameter. The zero value is not useful; start
@@ -65,10 +32,6 @@ type Config struct {
 	// matrices are partitioned across a grid of tiles whose partial sums
 	// are accumulated digitally.
 	TileRows, TileCols int
-
-	// GMax is the maximum device conductance (arbitrary conductance
-	// units; enters only through the reported scale factors γ·g_max).
-	GMax float32
 
 	// InSteps and OutSteps are the DAC and ADC resolutions as quantization
 	// steps per side (2·steps+1 levels over the converter range); a b-bit
@@ -118,19 +81,6 @@ type Config struct {
 	BoundManagement bool
 	BMMaxIter       int
 
-	// NM selects the input scaling policy; AlphaConst is used by
-	// NMConstant.
-	NM         NoiseManagement
-	AlphaConst float32
-
-	// PerTileScale replaces the per-column weight scales γ_j (Eq. 4) with
-	// a single scale per tile (γ = max|W_tile|/g_max) — the coarser
-	// mapping some accelerators use to save per-column digital
-	// multipliers. Columns with small weights then waste conductance
-	// range, which is exactly what the per-column γ of the paper's
-	// formulation avoids.
-	PerTileScale bool
-
 	// WriteVerify sets the number of write-verify refinement iterations
 	// used when programming weights (paper §II: conductances are set by a
 	// "write-verify memory programming process"). Each iteration reads
@@ -163,16 +113,6 @@ type Config struct {
 	// uses an idealized signed-conductance abstraction.
 	DifferentialPair bool
 
-	// ADCOffset is the standard deviation of the static per-column ADC
-	// offset error (normalized output units), drawn once at programming
-	// time. 0 disables.
-	ADCOffset float32
-
-	// ADCGainMismatch is the standard deviation of the static per-column
-	// ADC gain error around 1.0, drawn once at programming time. 0
-	// disables.
-	ADCGainMismatch float32
-
 	// DriftT is the time in seconds since programming. > 0 activates
 	// conductance drift ĝ(t) = ĝ·(t/t0)^(−ν) with per-device ν, plus
 	// 1/f read noise growing with log t.
@@ -183,14 +123,10 @@ type Config struct {
 	// compensation the paper alludes to for drift).
 	DriftCompensation bool
 
-	// NoiseStream selects the rng stream version used for every stochastic
-	// draw of a deployment built with this config — programming noise, read
-	// noise and ADC errors alike. The zero value canonicalizes to
-	// rng.StreamV1 (the frozen Box-Muller contract), so legacy configs keep
-	// bit-identical results and identical fingerprints; rng.StreamV2 opts
-	// into the faster ziggurat sampler, which is statistically equivalent
-	// but draws a different sequence and therefore fingerprints (and caches)
-	// separately.
+	// NoiseStream holds no setting: rng.StreamVersion is zero-size, and
+	// every deployment draws the one Box-Muller stream. The field stays
+	// because perfbench/rungs.go seeds its tile rung with
+	// rng.NewStream(seed, cfg.NoiseStream).
 	NoiseStream rng.StreamVersion
 
 	// FaultRate is the per-device stuck-at fault probability, drawn once at
@@ -216,15 +152,10 @@ type Config struct {
 	// PVRetries enables the program-verify retry mitigation: after initial
 	// programming, up to PVRetries passes read every device back (with the
 	// tile's read noise) and re-program the cells whose realized
-	// conductance deviates from the target by more than PVTol. Stuck
+	// conductance deviates from the target by more than pvTol. Stuck
 	// devices cannot be corrected by re-programming; they are left for
 	// SpareCols remapping. 0 disables the retry loop.
 	PVRetries int
-
-	// PVTol is the program-verify acceptance tolerance in unit-normalized
-	// conductance; 0 selects DefaultPVTol. Only read when PVRetries > 0 or
-	// SpareCols > 0.
-	PVTol float32
 
 	// SpareCols is the number of spare crossbar columns per tile available
 	// for fault remapping: after the retry loop, columns still holding an
@@ -234,26 +165,17 @@ type Config struct {
 	SpareCols int
 }
 
-// DefaultPVTol is the program-verify acceptance tolerance used when
-// Config.PVTol is unset: 2% of the full conductance range, a little above
-// the PCM programming-noise floor so healthy cells converge in one or two
-// retries.
-const DefaultPVTol = 0.02
-
-// pvTol returns the effective program-verify tolerance.
-func (c Config) pvTol() float32 {
-	if c.PVTol > 0 {
-		return c.PVTol
-	}
-	return DefaultPVTol
-}
+// pvTol is the program-verify acceptance tolerance in unit-normalized
+// conductance: 2% of the full conductance range, a little above the PCM
+// programming-noise floor so healthy cells converge in one or two retries.
+const pvTol = 0.02
 
 // faultFree reports whether every device-fault/mitigation extension of this
 // configuration is disabled — the condition under which Fingerprint stays
 // suffix-free and programming is bit-identical to the pre-fault code.
 func (c Config) faultFree() bool {
 	return c.FaultRate == 0 && c.FaultSA1Frac == 0 && c.GMaxStd == 0 &&
-		c.PVRetries == 0 && c.PVTol == 0 && c.SpareCols == 0
+		c.PVRetries == 0 && c.SpareCols == 0
 }
 
 // Programming-noise polynomial σ_prog(ĝ)/scale = c0 + c1·ĝ + c2·ĝ², with ĝ
@@ -281,39 +203,35 @@ const (
 // checks it against reflect.TypeOf(Config{}).NumField() so that adding a
 // field without extending Fingerprint fails loudly instead of silently
 // aliasing distinct configurations in the engine's deployment cache.
-const configFieldCount = 35
+const configFieldCount = 28
 
 // Fingerprint returns a stable, content-derived identifier of the
 // configuration: two Configs share a fingerprint iff every field is equal.
 // The engine uses it as a deployment cache-key component and as an input to
 // seed derivation, so the encoding must stay deterministic across runs —
 // it lists every field explicitly rather than relying on struct layout.
+//
+// The literals gmax=25, nm=0, alpha=0, pertile=false, adcoff=0, adcgain=0
+// and the 0 in pv= stand for settings the tile no longer has. Every
+// deployed configuration printed exactly that text for them, so keeping it
+// keeps every deployment seed.
 func (c Config) Fingerprint() string {
 	fp := fmt.Sprintf(
-		"tile=%dx%d;gmax=%g;in=%d;out=%d;innoise=%g;outnoise=%g;wnoise=%g;"+
+		"tile=%dx%d;gmax=25;in=%d;out=%d;innoise=%g;outnoise=%g;wnoise=%g;"+
 			"prog=%g;poly=%g,%g,%g;driftscale=%g;ir=%g;sshape=%g;bound=%g;"+
-			"bm=%t,%d;nm=%d;alpha=%g;pertile=%t;wv=%d;bitserial=%t;"+
-			"slices=%d,%d;diffpair=%t;adcoff=%g;adcgain=%g;driftt=%g;driftcomp=%t",
-		c.TileRows, c.TileCols, c.GMax, c.InSteps, c.OutSteps, c.InNoise, c.OutNoise, c.WNoise,
+			"bm=%t,%d;nm=0;alpha=0;pertile=false;wv=%d;bitserial=%t;"+
+			"slices=%d,%d;diffpair=%t;adcoff=0;adcgain=0;driftt=%g;driftcomp=%t",
+		c.TileRows, c.TileCols, c.InSteps, c.OutSteps, c.InNoise, c.OutNoise, c.WNoise,
 		c.ProgNoiseScale, c.ProgPoly[0], c.ProgPoly[1], c.ProgPoly[2], c.DriftScale,
-		c.IRDropScale, c.SShape, c.OutBound,
-		c.BoundManagement, c.BMMaxIter, int(c.NM), c.AlphaConst, c.PerTileScale,
-		c.WriteVerify, c.BitSerial,
-		c.WeightSlices, c.SliceBits, c.DifferentialPair, c.ADCOffset, c.ADCGainMismatch,
+		c.IRDropScale, c.SShape, c.OutBound, c.BoundManagement, c.BMMaxIter,
+		c.WriteVerify, c.BitSerial, c.WeightSlices, c.SliceBits, c.DifferentialPair,
 		c.DriftT, c.DriftCompensation)
-	// The canonical StreamV1 adds no suffix so every pre-versioning
-	// fingerprint — and therefore every cached deployment seed — is
-	// preserved verbatim; non-default streams key (and cache) separately so
-	// deployments never mix stream versions.
-	if s := c.NoiseStream.Canon(); s != rng.StreamV1 {
-		fp += fmt.Sprintf(";stream=%s", s)
-	}
-	// Device-fault and mitigation fields likewise add no suffix while all
-	// disabled, keeping every pre-fault fingerprint (and deployment seed)
+	// Device-fault and mitigation fields add no suffix while all disabled,
+	// keeping every pre-fault fingerprint (and deployment seed)
 	// byte-identical; any non-zero field keys the whole group.
 	if !c.faultFree() {
-		fp += fmt.Sprintf(";fault=%g,%g;gmaxstd=%g;pv=%d,%g;spare=%d",
-			c.FaultRate, c.FaultSA1Frac, c.GMaxStd, c.PVRetries, c.PVTol, c.SpareCols)
+		fp += fmt.Sprintf(";fault=%g,%g;gmaxstd=%g;pv=%d,0;spare=%d",
+			c.FaultRate, c.FaultSA1Frac, c.GMaxStd, c.PVRetries, c.SpareCols)
 	}
 	return fp
 }
@@ -325,7 +243,6 @@ func (c Config) Fingerprint() string {
 func PaperPreset() Config {
 	return Config{
 		TileRows: 512, TileCols: 512,
-		GMax:     25,
 		InSteps:  StepsForBits(7),
 		OutSteps: StepsForBits(7),
 		InNoise:  0.0, OutNoise: 0.04,
@@ -336,9 +253,7 @@ func PaperPreset() Config {
 		OutBound:         12,
 		BoundManagement:  true,
 		BMMaxIter:        4,
-		NM:               NMAbsMax,
 		DifferentialPair: true,
-		NoiseStream:      DefaultNoiseStream(),
 	}
 }
 
@@ -361,10 +276,7 @@ func ReRAMPreset() Config {
 func Ideal() Config {
 	return Config{
 		TileRows: 512, TileCols: 512,
-		GMax:        25,
-		OutBound:    1e9,
-		NM:          NMAbsMax,
-		NoiseStream: DefaultNoiseStream(),
+		OutBound: 1e9,
 	}
 }
 

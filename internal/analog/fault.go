@@ -161,14 +161,13 @@ func (t *Tile) programCell(target, lo, hi float32, r *rng.Rand) float32 {
 		return w
 	}
 	w := pulse()
-	tol := t.cfg.pvTol()
 	for iter := 0; iter < t.cfg.PVRetries; iter++ {
 		read := w + float32(t.cfg.WNoise*r.NormFloat32())
 		dev := read - target
 		if dev < 0 {
 			dev = -dev
 		}
-		if dev <= tol {
+		if dev <= pvTol {
 			break
 		}
 		w = pulse()
@@ -183,7 +182,6 @@ func (t *Tile) programCell(target, lo, hi float32, r *rng.Rand) float32 {
 // Stuck devices ignore re-programming and are skipped — column remapping is
 // their only recourse. The loop exits early once a pass fixes nothing.
 func (t *Tile) pvRetry(pl *progPlane, r *rng.Rand) {
-	tol := t.cfg.pvTol()
 	for iter := 0; iter < t.cfg.PVRetries; iter++ {
 		fixed := false
 		for i := range pl.programmed {
@@ -192,7 +190,7 @@ func (t *Tile) pvRetry(pl *progPlane, r *rng.Rand) {
 			if dev < 0 {
 				dev = -dev
 			}
-			if dev <= tol {
+			if dev <= pvTol {
 				continue
 			}
 			if pl.mask != nil && pl.mask[i] != deviceHealthy {
@@ -230,7 +228,6 @@ func (t *Tile) remapSpares(planes []*progPlane, progRng *rng.Rand) {
 	if S <= 0 {
 		return
 	}
-	tol := t.cfg.pvTol()
 	spareMasks := make([][]uint8, len(planes))
 	if t.cfg.FaultRate > 0 {
 		for pi, pl := range planes {
@@ -259,7 +256,7 @@ func (t *Tile) remapSpares(planes []*progPlane, progRng *rng.Rand) {
 				if dev < 0 {
 					dev = -dev
 				}
-				if dev > tol {
+				if dev > pvTol {
 					return true
 				}
 			}
@@ -331,14 +328,13 @@ func (t *Tile) applyFaultModel(planes []*progPlane, progRng *rng.Rand) {
 		}
 	}
 	t.remapSpares(planes, progRng)
-	tol := t.cfg.pvTol()
 	for _, pl := range planes {
 		for i := range pl.programmed {
 			dev := pl.programmed[i] - pl.ideal[i]
 			if dev < 0 {
 				dev = -dev
 			}
-			if dev > tol {
+			if dev > pvTol {
 				t.fstats.UnfixedCells++
 			}
 		}

@@ -223,13 +223,12 @@ func TestFaultFingerprintSuffix(t *testing.T) {
 			t.Fatalf("fault-free fingerprint carries a fault suffix: %s", fp)
 		}
 	}
-	perturbed := []Config{base, base, base, base, base, base}
+	perturbed := []Config{base, base, base, base, base}
 	perturbed[0].FaultRate = 0.01
 	perturbed[1].FaultSA1Frac = 0.5
 	perturbed[2].GMaxStd = 0.02
 	perturbed[3].PVRetries = 1
-	perturbed[4].PVTol = 0.01
-	perturbed[5].SpareCols = 1
+	perturbed[4].SpareCols = 1
 	seen := map[string]bool{fp: true}
 	for i, c := range perturbed {
 		got := c.Fingerprint()

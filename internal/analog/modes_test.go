@@ -73,54 +73,6 @@ func TestWriteVerifyFloorFromReadNoise(t *testing.T) {
 	}
 }
 
-// --- per-tile vs per-column weight scaling ----------------------------------
-
-func TestPerTileScaleExactWhenIdeal(t *testing.T) {
-	cfg := Ideal()
-	cfg.PerTileScale = true
-	w := randMat(950, 24, 12)
-	tile := NewTile(cfg, w, rng.New(951))
-	x := randVec(952, 24)
-	got := tile.MVMRow(x, rng.New(953))
-	want := tensor.VecMul(x, w)
-	for j := range want {
-		if math.Abs(float64(got[j]-want[j])) > 2e-4*(1+math.Abs(float64(want[j]))) {
-			t.Fatalf("ideal per-tile scaling diverges at %d", j)
-		}
-	}
-	// all (non-zero) column scales collapse to the tile max
-	scales := tile.ColScales()
-	for j := 1; j < len(scales); j++ {
-		if scales[j] != scales[0] {
-			t.Fatal("per-tile scaling must share one γ")
-		}
-	}
-}
-
-// Per-column γ must beat per-tile γ under ADC quantization when column
-// magnitudes are skewed: small columns lose resolution against the shared
-// scale.
-func TestPerColumnScaleBeatsPerTileUnderQuantization(t *testing.T) {
-	w := randMat(954, 32, 16)
-	for i := 0; i < 32; i++ {
-		w.Set(i, 0, w.At(i, 0)*50) // one loud column dominates the tile max
-	}
-	x := randVec(955, 32)
-	want := tensor.VecMul(x, w)
-	mse := func(perTile bool) float64 {
-		cfg := WithOnly(func(c *Config) { c.OutSteps = StepsForBits(7) })
-		cfg.PerTileScale = perTile
-		tile := NewTile(cfg, w, rng.New(956))
-		got := tile.MVMRow(x, rng.New(957))
-		// judge only the quiet columns, where the resolution loss bites
-		return stats.MSE(got[1:], want[1:])
-	}
-	col, tileWide := mse(false), mse(true)
-	if col >= tileWide {
-		t.Fatalf("per-column γ (%v) should beat per-tile γ (%v) on skewed columns", col, tileWide)
-	}
-}
-
 // --- ReRAM device preset (paper §VII) --------------------------------------
 
 func TestReRAMPresetDevice(t *testing.T) {

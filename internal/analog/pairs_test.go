@@ -127,89 +127,9 @@ func TestDifferentialPairDriftCompensation(t *testing.T) {
 	}
 }
 
-func TestADCOffsetIsStatic(t *testing.T) {
-	cfg := Ideal()
-	cfg.ADCOffset = 0.5
-	w := randMat(514, 16, 6)
-	tile := NewTile(cfg, w, rng.New(515))
-	x := randVec(516, 16)
-	want := tensor.VecMul(x, w)
-	a := tile.MVMRow(x, rng.New(517))
-	b := tile.MVMRow(x, rng.New(518)) // different read stream
-	if stats.MSE(a, want) == 0 {
-		t.Fatal("ADC offset had no effect")
-	}
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatal("ADC offset must be static across reads")
-		}
-	}
-}
-
-func TestADCOffsetScalesWithAlpha(t *testing.T) {
-	// The offset lives in the ADC (normalized domain), so its digital-side
-	// magnitude is α·c_j·offset: doubling the input doubles the error.
-	cfg := Ideal()
-	cfg.ADCOffset = 0.3
-	w := randMat(519, 16, 4)
-	tile := NewTile(cfg, w, rng.New(520))
-	x := randVec(521, 16)
-	x2 := make([]float32, len(x))
-	for i, v := range x {
-		x2[i] = 2 * v
-	}
-	errAt := func(in []float32, scale float32) float64 {
-		got := tile.MVMRow(in, rng.New(522))
-		want := tensor.VecMul(in, w)
-		var s float64
-		for j := range got {
-			s += math.Abs(float64(got[j] - want[j]))
-		}
-		return s
-	}
-	e1 := errAt(x, 1)
-	e2 := errAt(x2, 2)
-	if math.Abs(e2-2*e1) > 0.05*e2 {
-		t.Fatalf("offset error should scale with α: %v vs 2×%v", e2, e1)
-	}
-}
-
-func TestADCGainMismatch(t *testing.T) {
-	cfg := Ideal()
-	cfg.ADCGainMismatch = 0.1
-	w := randMat(523, 16, 6)
-	tile := NewTile(cfg, w, rng.New(524))
-	x := randVec(525, 16)
-	want := tensor.VecMul(x, w)
-	got := tile.MVMRow(x, rng.New(526))
-	if stats.MSE(got, want) == 0 {
-		t.Fatal("gain mismatch had no effect")
-	}
-	// multiplicative: relative per-column error is input-independent
-	x3 := make([]float32, len(x))
-	for i, v := range x {
-		x3[i] = 3 * v
-	}
-	got3 := tile.MVMRow(x3, rng.New(527))
-	want3 := tensor.VecMul(x3, w)
-	for j := range got {
-		if want[j] == 0 || want3[j] == 0 {
-			continue
-		}
-		r1 := float64(got[j] / want[j])
-		r3 := float64(got3[j] / want3[j])
-		if math.Abs(r1-r3) > 1e-3 {
-			t.Fatalf("col %d: gain ratio not input-independent: %v vs %v", j, r1, r3)
-		}
-	}
-}
-
 func TestPaperPresetUsesDifferentialPairs(t *testing.T) {
 	if !PaperPreset().DifferentialPair {
 		t.Fatal("paper preset should use the physical differential-pair mapping")
-	}
-	if PaperPreset().ADCOffset != 0 || PaperPreset().ADCGainMismatch != 0 {
-		t.Fatal("static ADC errors are extensions, not part of Table II")
 	}
 }
 

@@ -38,9 +38,6 @@ type Tile struct {
 	wEff *tensor.Matrix // effective weights after drift
 	absW *tensor.Matrix // |wEff|, built lazily for IR-drop load estimation
 
-	adcOffset []float32 // static per-column ADC offset (nil when disabled)
-	adcGain   []float32 // static per-column ADC gain (nil when disabled)
-
 	readStd    float32 // additional 1/f read noise at the current time
 	wReadSigma float32 // hypot(WNoise, readStd), cached off the read path
 	driftComp  float32 // global drift compensation multiplier
@@ -60,7 +57,7 @@ type Tile struct {
 
 // NewTile programs the weight slice ws (rows × cols, already carrying any
 // NORA pre-scaling) onto a tile. progRng drives programming noise, drift
-// exponents and static ADC errors.
+// exponents and device faults.
 func NewTile(cfg Config, ws *tensor.Matrix, progRng *rng.Rand) *Tile {
 	if ws.Rows > cfg.TileRows || ws.Cols > cfg.TileCols {
 		panic(fmt.Sprintf("analog: weight slice %dx%d exceeds tile %dx%d",
@@ -76,7 +73,6 @@ func NewTile(cfg Config, ws *tensor.Matrix, progRng *rng.Rand) *Tile {
 	}
 	// Per-column scaling γ_j = max|w_j|/g_max (Eq. 4); colScale keeps the
 	// full digital factor γ_j·g_max = max|w_j| so outputs rescale exactly.
-	// Under PerTileScale every column shares the tile-wide maximum.
 	for j := 0; j < ws.Cols; j++ {
 		var mx float32
 		for i := 0; i < ws.Rows; i++ {
@@ -89,19 +85,6 @@ func NewTile(cfg Config, ws *tensor.Matrix, progRng *rng.Rand) *Tile {
 			}
 		}
 		t.colScale[j] = mx
-	}
-	if cfg.PerTileScale {
-		var mx float32
-		for _, v := range t.colScale {
-			if v > mx {
-				mx = v
-			}
-		}
-		for j := range t.colScale {
-			if t.colScale[j] > 0 {
-				t.colScale[j] = mx
-			}
-		}
 	}
 	ideal := tensor.New(ws.Rows, ws.Cols)
 	for i := 0; i < ws.Rows; i++ {
@@ -118,14 +101,6 @@ func NewTile(cfg Config, ws *tensor.Matrix, progRng *rng.Rand) *Tile {
 		t.programDifferential(ideal, progRng)
 	} else {
 		t.programSigned(ideal, progRng)
-	}
-	if cfg.ADCOffset > 0 {
-		t.adcOffset = make([]float32, ws.Cols)
-		progRng.Split("adc-offset").FillNormal(t.adcOffset, 0, cfg.ADCOffset)
-	}
-	if cfg.ADCGainMismatch > 0 {
-		t.adcGain = make([]float32, ws.Cols)
-		progRng.Split("adc-gain").FillNormal(t.adcGain, 1, cfg.ADCGainMismatch)
 	}
 	t.wReadSigma = t.combinedReadSigma()
 	if isPow2(cfg.InSteps) {
@@ -416,19 +391,6 @@ func (t *Tile) MVMRow(xs []float32, r *rng.Rand) []float32 {
 	return out.Data
 }
 
-// rowAlpha returns the noise-management input scale α for one input row
-// (Eq. 5). α = 0 marks a silent row: no draws, no counters, no output.
-func (t *Tile) rowAlpha(xs []float32) float32 {
-	switch t.cfg.NM {
-	case NMAbsMax:
-		return tensor.AbsMaxVec(xs)
-	case NMConstant:
-		return t.cfg.AlphaConst
-	default:
-		panic("analog: unknown noise management mode")
-	}
-}
-
 // quantizeRowInto fills xhat with the DAC conversion of xs at input scale
 // `scale` — the single f_dac implementation shared by phase 1 and the
 // complete reads of finishRow.
@@ -553,10 +515,9 @@ func (t *Tile) analogReadInto(z, xvec []float32, r *rng.Rand, s *readScratch) (s
 // digitizeRow applies the post-MAC analog pipeline to one output row z:
 // short-term weight read noise (from the precomputed ‖x̂‖²), deterministic
 // IR-drop (from the precomputed column load, nil when disabled), S-shape
-// nonlinearity, additive output noise, static ADC errors, saturation
-// detection and ADC quantization. This is the single noise/ADC
-// implementation every read mode funnels through; its draw order against r
-// is the bit-exactness contract.
+// nonlinearity, additive output noise, saturation detection and ADC
+// quantization. This is the single noise/ADC implementation every read mode
+// funnels through; its draw order against r is the bit-exactness contract.
 func (t *Tile) digitizeRow(z []float32, xnorm2 float64, load []float32, r *rng.Rand) (saturated bool) {
 	cfg := &t.cfg
 
@@ -582,18 +543,6 @@ func (t *Tile) digitizeRow(z []float32, xnorm2 float64, load []float32, r *rng.R
 	}
 	if cfg.OutNoise > 0 {
 		r.FillNormalAdd(z, cfg.OutNoise)
-	}
-
-	// Static ADC column errors (gain mismatch, then offset).
-	if t.adcGain != nil {
-		for j := range z {
-			z[j] *= t.adcGain[j]
-		}
-	}
-	if t.adcOffset != nil {
-		for j := range z {
-			z[j] += t.adcOffset[j]
-		}
 	}
 
 	// Saturation detection, then ADC conversion.

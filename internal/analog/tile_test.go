@@ -353,20 +353,6 @@ func TestDriftCompensationRecoversScale(t *testing.T) {
 	}
 }
 
-func TestNMConstantClipsOutliers(t *testing.T) {
-	w := randMat(56, 8, 4)
-	x := []float32{5, 0.1, -0.2, 0.3, 0.1, -0.1, 0.2, 0.05} // outlier at 0
-	cfg := Ideal()
-	cfg.NM = NMConstant
-	cfg.AlphaConst = 1 // DAC range ±1 → the 5 clips hard
-	tile := NewTile(cfg, w, rng.New(57))
-	got := tile.MVMRow(x, rng.New(58))
-	want := tensor.VecMul(x, w)
-	if stats.MSE(got, want) < 1e-3 {
-		t.Fatal("constant-α with outlier input must clip and err")
-	}
-}
-
 func TestTileTooBigPanics(t *testing.T) {
 	cfg := Ideal()
 	cfg.TileRows, cfg.TileCols = 4, 4

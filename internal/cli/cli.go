@@ -1,8 +1,8 @@
 // Package cli is the single home of the flag surface shared by every nora
-// binary: model directory, evaluation size, quick mode, noise-stream
-// selection and the cost model. Before this package each command
-// re-declared the same flags and re-derived an engine.Config from them by
-// hand, and the copies drifted (defaults, help strings, stream validation).
+// binary: model directory, evaluation size, quick mode and the cost model.
+// Before this package each command re-declared the same flags and
+// re-derived an engine.Config from them by hand, and the copies drifted
+// (defaults, help strings, validation).
 // Now every binary registers one Options value and resolves engine
 // configuration through one code path, so two commands given identical
 // flags are guaranteed to build identical engines — a property pinned by
@@ -19,10 +19,10 @@
 //	eng := opt.NewEngine()
 //	ws, err := opt.LoadModels("")
 //
-// Flags that a particular binary does not consume (for example
-// -noise-stream on nora-train, which never deploys analog hardware) are
-// still accepted, so the flag surface — and its defaults — is uniform
-// across the whole tool set.
+// Flags that a particular binary does not consume (for example -costmodel
+// on nora-train, which never deploys analog hardware) are still accepted,
+// so the flag surface — and its defaults — is uniform across the whole
+// tool set.
 package cli
 
 import (
@@ -39,7 +39,6 @@ import (
 	"nora/internal/fleet"
 	"nora/internal/harness"
 	"nora/internal/model"
-	"nora/internal/rng"
 )
 
 // Options is the shared configuration every nora binary accepts. The zero
@@ -52,10 +51,6 @@ type Options struct {
 	// Quick selects a reduced sweep for fast smoke runs (-quick): nora runs
 	// each study's quick variant at QuickEval's smaller evaluation size.
 	Quick bool
-	// NoiseStream names the analog read-noise stream version
-	// (-noise-stream): "v1" (Box-Muller, bit-compatible with prior runs) or
-	// "v2" (ziggurat, faster). Finish validates and applies it.
-	NoiseStream string
 	// CostModelSpec overrides the energy/latency constants (-costmodel):
 	// either a JSON file holding an analog.CostModel, or comma-separated
 	// key=value pairs over the JSON keys (e.g. "adc_pj=2.1,mvm_ns=80").
@@ -67,12 +62,9 @@ type Options struct {
 	finished  bool
 }
 
-// Default flag values, shared by every binary. Exported so tests (and the
-// serve layer) can assert against the single canonical set.
-const (
-	DefaultModelDir    = "testdata/models"
-	DefaultNoiseStream = "v1"
-)
+// DefaultModelDir is the -modeldir default, shared by every binary.
+// Exported so tests (and the serve layer) can assert against it.
+const DefaultModelDir = "testdata/models"
 
 // RegisterFlags installs the shared flag set on fs with the canonical
 // defaults. Call before fs.Parse; binary-specific flags register alongside.
@@ -80,19 +72,12 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.ModelDir, "modeldir", DefaultModelDir, "directory with cached models")
 	fs.IntVar(&o.EvalN, "eval", harness.EvalSize, "evaluation sequences per point")
 	fs.BoolVar(&o.Quick, "quick", false, "reduced sweep for a fast smoke run")
-	fs.StringVar(&o.NoiseStream, "noise-stream", DefaultNoiseStream, "analog noise stream: v1 (Box-Muller, bit-compatible with prior runs) or v2 (ziggurat, faster)")
 	fs.StringVar(&o.CostModelSpec, "costmodel", "", "cost-model override: JSON file or k=v list (keys: dac_pj, adc_pj, cell_pj, mac_pj, mvm_ns, macs_per_ns, row_ns); empty = built-in defaults")
 }
 
-// Finish validates the parsed options and applies the process-wide ones
-// (the analog noise-stream default). Call exactly once, after flag parsing
-// and before NewEngine/LoadWorkloads.
+// Finish validates the parsed options and resolves the cost model. Call
+// exactly once, after flag parsing and before NewEngine/LoadWorkloads.
 func (o *Options) Finish() error {
-	sv, err := rng.ParseStreamVersion(o.NoiseStream)
-	if err != nil {
-		return err
-	}
-	analog.SetDefaultNoiseStream(sv)
 	cm, err := ParseCostModel(o.CostModelSpec)
 	if err != nil {
 		return err
@@ -194,8 +179,8 @@ func (o *Options) LoadModels(keys string) ([]*harness.Workload, error) {
 }
 
 // mustFinish panics when Finish was skipped: silently running with an
-// unvalidated (and unapplied) noise stream would be a correctness bug, not
-// a recoverable condition.
+// unresolved cost model would be a correctness bug, not a recoverable
+// condition.
 func (o *Options) mustFinish(method string) {
 	if !o.finished {
 		panic(fmt.Sprintf("cli: Options.%s called before Finish", method))

@@ -39,7 +39,7 @@ func parseAs(t *testing.T, name string, args []string) *Options {
 func TestBinariesResolveIdenticalEngineConfig(t *testing.T) {
 	for _, args := range [][]string{
 		{},
-		{"-modeldir", "elsewhere", "-eval", "42", "-noise-stream", "v2", "-quick"},
+		{"-modeldir", "elsewhere", "-eval", "42", "-quick"},
 	} {
 		nora := parseAs(t, "nora", args)
 		serve := parseAs(t, "nora-serve", args)
@@ -66,18 +66,6 @@ func TestSharedDefaults(t *testing.T) {
 	}
 	if got, want := o.Engine(), (engine.Config{}); got != want {
 		t.Fatalf("default engine config = %+v, want zero value", got)
-	}
-}
-
-func TestFinishRejectsUnknownStream(t *testing.T) {
-	var o Options
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	o.RegisterFlags(fs)
-	if err := fs.Parse([]string{"-noise-stream", "v9"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Finish(); err == nil {
-		t.Fatal("Finish accepted an unknown noise stream")
 	}
 }
 

@@ -245,12 +245,7 @@ func Deploy(model *nn.Model, mode DeployMode, cal *Calibration, cfg analog.Confi
 			only[name] = true
 		}
 	}
-	// The runtime noise stream version is part of the hardware contract:
-	// StreamV1 keeps the legacy Box-Muller sequence (bit-identical to every
-	// historical run), StreamV2 opts into the ziggurat sampler. The version
-	// is carried by the config — and hence its fingerprint — so cached
-	// deployments and derived seeds can never mix versions.
-	root := rng.NewStream(seed, cfg.NoiseStream)
+	root := rng.New(seed)
 	for _, spec := range model.Linears() {
 		if only != nil && !only[spec.Name] {
 			continue

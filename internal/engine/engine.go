@@ -32,7 +32,6 @@ import (
 	"nora/internal/analog"
 	"nora/internal/core"
 	"nora/internal/nn"
-	"nora/internal/rng"
 )
 
 // Config tunes an Engine. The zero value selects the defaults noted on
@@ -265,9 +264,6 @@ type evalEntry struct {
 // Deploy returns the cached deployment for req, building (and caching) it
 // on a miss. Concurrent misses on the same key build once.
 func (e *Engine) Deploy(req Request) *Deployment {
-	if req.Mode != core.DeployDigital {
-		e.stats.recordStream(req.Config.NoiseStream)
-	}
 	key := req.cacheKey()
 	sig := req.shapeSig()
 	e.mu.Lock()
@@ -572,24 +568,6 @@ type statCounters struct {
 	genPrefillToks atomic.Int64
 	genNanos       atomic.Int64
 	genReads       atomic.Int64
-
-	// streamMask records every noise-stream version requested from this
-	// engine for an analog deployment, as a bitmask (bit v = StreamVersion
-	// v seen). Diagnostics for the report footer: a single experiment run
-	// mixing versions is almost always a configuration mistake.
-	streamMask atomic.Uint32
-}
-
-// recordStream sets the bit for the (canonicalized) stream version with a
-// CAS loop (atomic Or of a uint32 needs go ≥ 1.23; this module pins 1.22).
-func (s *statCounters) recordStream(v rng.StreamVersion) {
-	bit := uint32(1) << uint32(v.Canon())
-	for {
-		old := s.streamMask.Load()
-		if old&bit != 0 || s.streamMask.CompareAndSwap(old, old|bit) {
-			return
-		}
-	}
 }
 
 // Stats is a point-in-time snapshot of engine activity.
@@ -625,11 +603,6 @@ type Stats struct {
 	// Cost prices Counters/DigitalMACs under the engine's cost model: the
 	// analog energy/latency estimate against the digital-MAC baseline.
 	Cost analog.CostComparison
-	// NoiseStreams names every noise-stream version requested for analog
-	// deployments so far (comma-joined, e.g. "v1-boxmuller"); empty before
-	// the first analog deploy. More than one entry in a single run usually
-	// indicates a configuration mistake.
-	NoiseStreams string
 	// GenSteps counts continuous-batching generation steps recorded via
 	// Deployment.RecordGenStep; GenTokens the tokens those steps produced
 	// (one per decoding sequence per step), GenPrefillTokens the prompt
@@ -652,13 +625,6 @@ type Stats struct {
 // Stats returns a consistent snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	s := &e.stats
-	var streams []string
-	mask := s.streamMask.Load()
-	for v := rng.StreamVersion(1); v <= rng.StreamV2; v++ {
-		if mask&(1<<uint32(v)) != 0 {
-			streams = append(streams, v.String())
-		}
-	}
 	counters := analog.OpCounters{
 		MVMs:      s.analogReads.Load(),
 		DACConvs:  s.dacConvs.Load(),
@@ -685,7 +651,6 @@ func (e *Engine) Stats() Stats {
 		Counters:         counters,
 		DigitalMACs:      macs,
 		Cost:             e.cfg.CostModel.Compare(counters, macs, rows),
-		NoiseStreams:     strings.Join(streams, ","),
 		GenSteps:         s.genSteps.Load(),
 		GenTokens:        s.genTokens.Load(),
 		GenPrefillTokens: s.genPrefillToks.Load(),
@@ -765,10 +730,6 @@ func (s Stats) AllocsPerSequence() float64 {
 
 // String renders the snapshot as a compact single-block summary.
 func (s Stats) String() string {
-	streams := s.NoiseStreams
-	if streams == "" {
-		streams = "none"
-	}
 	gen := ""
 	if s.GenSteps > 0 {
 		gen = fmt.Sprintf(" | gen: steps=%d tokens=%d (%.0f tok/s) prefill=%d (%.0f tok/s) mean-batch=%.2f reads=%d",
@@ -777,14 +738,13 @@ func (s Stats) String() string {
 	return fmt.Sprintf(
 		"engine: deploys=%d hits=%d evictions=%d deploy-time=%s | "+
 			"evals=%d eval-hits=%d eval-time=%s | seqs=%d skipped=%d tokens=%d (%.0f tok/s) | "+
-			"reads=%d (%.0f reads/s) rows=%d (%.0f rows/s) stream=%s | "+
+			"reads=%d (%.0f reads/s) rows=%d (%.0f rows/s) | "+
 			"allocs=%d (%.1f allocs/seq) | "+
 			"cost: analog=%.1fuJ/%.1fms digital=%.1fuJ/%.1fms saving=%.1fx bm-retries=%d",
 		s.DeployBuilds, s.DeployHits, s.Evictions, s.DeployTime.Round(time.Millisecond),
 		s.Evals, s.EvalHits, s.EvalTime.Round(time.Millisecond),
 		s.Sequences, s.SkippedSeqs, s.Tokens, s.TokensPerSecond(),
 		s.AnalogReads, s.ReadsPerSecond(), s.AnalogRows, s.RowsPerSecond(),
-		streams,
 		s.Mallocs, s.AllocsPerSequence(),
 		s.Cost.Analog.EnergyPJ/1e6, s.Cost.Analog.LatencyNS/1e6,
 		s.Cost.Digital.EnergyPJ/1e6, s.Cost.Digital.LatencyNS/1e6,

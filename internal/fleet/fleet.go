@@ -294,7 +294,7 @@ func (f *Fleet) buildReplica(idx int, req engine.Request, chip *Chip) *Replica {
 // small fractions — HealthWeight converts them into load units.
 func healthOf(dep *engine.Deployment) float64 {
 	fs := dep.FaultStats()
-	return 8*fs.UnfixedFraction() + fs.StuckFraction()
+	return float64(8*fs.UnfixedFraction()) + fs.StuckFraction()
 }
 
 // ErrNoReplica is returned by Acquire when every chip is out of service.

@@ -30,7 +30,7 @@ func Pick(policy Policy, rr int64, cands []Candidate) int {
 			if !c.Available {
 				continue
 			}
-			score := c.Load + HealthWeight*c.Health
+			score := c.Load + float64(HealthWeight*c.Health)
 			if best < 0 || score < bestScore {
 				best, bestScore = i, score
 			}

@@ -101,7 +101,7 @@ func SimulateRouting(pol fleet.Policy, reps []SimReplica, requests int, gap floa
 	cands := make([]fleet.Candidate, len(reps))
 	var sumWait float64
 	for k := 0; k < requests; k++ {
-		t := float64(k) * gap
+		t := float64(float64(k) * gap)
 		for i := range reps {
 			st := &sts[i]
 			for len(st.done) > 0 && st.done[0] <= t {
@@ -182,14 +182,14 @@ func FleetSweep(eng *engine.Engine, ws []*Workload, base analog.Config, sizes []
 					}
 					accs[i] = res.Accuracy()
 					h := rep.HealthScore()
-					profiles[i] = SimReplica{Health: h, Service: 1 + FleetServicePenalty*h}
+					profiles[i] = SimReplica{Health: h, Service: 1 + float64(FleetServicePenalty*h)}
 				}
 				for _, pol := range []fleet.Policy{fleet.RoundRobin, fleet.HealthAware} {
 					stats := SimulateRouting(pol, profiles, requests, gap)
 					var acc, worn float64
 					for i := range reps {
 						share := stats.Share(i)
-						acc += share * accs[i]
+						acc += float64(share * accs[i])
 						if reps[i].Chip().Spec.FaultRate > 0 {
 							worn += share
 						}

@@ -131,11 +131,11 @@ func (g *Grid[P]) MeanStd(wi, ai int) (mean, std float64) {
 	for pi := range g.Points {
 		v := g.Accuracy(wi, pi, ai)
 		sum += v
-		sum2 += v * v
+		sum2 += float64(v * v)
 	}
 	n := float64(len(g.Points))
 	mean = sum / n
-	return mean, math.Sqrt(math.Max(0, sum2/n-mean*mean))
+	return mean, math.Sqrt(math.Max(0, sum2/n-float64(mean*mean)))
 }
 
 // unitAxis is the single-point axis of sweeps whose only dimension is the

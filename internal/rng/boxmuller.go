@@ -2,7 +2,7 @@ package rng
 
 import "math"
 
-// boxMuller is the StreamV1 transform of one uniform pair, u ∈ (0, 1) and
+// boxMuller is the Gaussian transform of one uniform pair, u ∈ (0, 1) and
 // v ∈ [0, 1), into the two normals (mag·cos, mag·sin) in the order
 // NormFloat64 hands them out.
 func boxMuller(u, v float64) (c, s float64) {

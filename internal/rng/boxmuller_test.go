@@ -142,16 +142,12 @@ func TestUniformPairsMatchesNormPair(t *testing.T) {
 }
 
 // BenchmarkFillNormal prices one normal of a 4096-value FillNormal, the
-// perfbench rng.normal_ns shape, on each stream version.
+// perfbench rng.normal_ns shape.
 func BenchmarkFillNormal(b *testing.B) {
-	for _, v := range []StreamVersion{StreamV1, StreamV2} {
-		b.Run(v.String(), func(b *testing.B) {
-			r := NewStream(1, v)
-			buf := make([]float32, 4096)
-			for i := 0; i < b.N; i++ {
-				r.FillNormal(buf, 0, 1)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/draw")
-		})
+	r := New(1)
+	buf := make([]float32, 4096)
+	for i := 0; i < b.N; i++ {
+		r.FillNormal(buf, 0, 1)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/draw")
 }

@@ -10,75 +10,30 @@
 package rng
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
 
-// StreamVersion selects the Gaussian sampling algorithm of a stream. The
-// uniform layers (Uint32/Uint64/Float64/Intn/...) are identical across
-// versions; only the normal variates differ:
-//
-//   - StreamV1 is the frozen Box-Muller contract every result before the
-//     versioning existed was produced under. Its draw sequence — including
-//     the one-value pair cache and the batched FillNormal orders — is pinned
-//     bit-for-bit by tests and must never change.
-//   - StreamV2 is an opt-in 128-layer Marsaglia–Tsang ziggurat sampler:
-//     statistically an exact standard normal, but a different (cheaper) draw
-//     sequence with no Log/Sincos on the ~98.8% fast path.
-//
-// Two streams with the same seed but different versions produce different
-// Gaussian draws, so a version is part of a deployment's identity: the
-// analog Config fingerprints it and the engine never mixes versions in its
-// cache.
-type StreamVersion uint8
-
-const (
-	// StreamV1 is Box-Muller — the legacy bit-exact contract. The zero
-	// value of StreamVersion canonicalizes to it (see Canon).
-	StreamV1 StreamVersion = 1
-	// StreamV2 is the ziggurat sampler.
-	StreamV2 StreamVersion = 2
-)
-
-// Canon maps the zero value to StreamV1 so struct zero values keep the
-// legacy behavior; explicit versions pass through unchanged.
-func (v StreamVersion) Canon() StreamVersion {
-	if v == 0 {
-		return StreamV1
-	}
-	return v
-}
-
-// String names the stream version for fingerprints and report footers.
-func (v StreamVersion) String() string {
-	switch v.Canon() {
-	case StreamV1:
-		return "v1-boxmuller"
-	case StreamV2:
-		return "v2-ziggurat"
-	default:
-		return fmt.Sprintf("v%d-unknown", uint8(v))
-	}
-}
+// StreamVersion names a stream's Gaussian sampler. There is one: the
+// Box-Muller contract that TestStreamV1Unchanged pins. The type is
+// zero-size, so it holds no setting; NewStream and analog.Config's
+// NoiseStream field keep it only because perfbench/rungs.go compiles
+// against them.
+type StreamVersion struct{}
 
 // Rand is a deterministic pseudo-random generator. The zero value is not
-// valid; use New, NewStream or (*Rand).Split.
+// valid; use New or (*Rand).Split.
 type Rand struct {
 	state uint64
 	inc   uint64
 
-	// version selects the Gaussian sampler; the zero value means StreamV1
-	// so generators from New keep the legacy contract.
-	version StreamVersion
-
-	// cached second Gaussian from Box-Muller (StreamV1 only)
+	// cached second Gaussian from Box-Muller
 	gauss float64
 	hasG  bool
 
-	// blk is the scratch of the batched StreamV1 fills, allocated by the
-	// first one: a block on the stack would be zeroed, all 1 KiB of it, on
-	// every call.
+	// blk is the scratch of the batched fills, allocated by the first
+	// one: a block on the stack would be zeroed, all 1 KiB of it, on every
+	// call.
 	blk *normBlock
 }
 
@@ -97,8 +52,7 @@ func splitmix64(state *uint64) uint64 {
 }
 
 // New returns a generator seeded from seed. Two generators created with the
-// same seed produce identical streams. The stream uses StreamV1 (the legacy
-// Box-Muller contract); use NewStream to select a version explicitly.
+// same seed produce identical streams.
 func New(seed uint64) *Rand {
 	sm := seed
 	s0 := splitmix64(&sm)
@@ -108,38 +62,8 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// ParseStreamVersion parses a command-line stream-version name: "v1",
-// "v1-boxmuller" or "1" select StreamV1; "v2", "v2-ziggurat" or "2" select
-// StreamV2; "" selects the default (StreamV1).
-func ParseStreamVersion(s string) (StreamVersion, error) {
-	switch s {
-	case "", "v1", "v1-boxmuller", "1", "boxmuller":
-		return StreamV1, nil
-	case "v2", "v2-ziggurat", "2", "ziggurat":
-		return StreamV2, nil
-	default:
-		return 0, fmt.Errorf("rng: unknown noise stream %q (want v1 or v2)", s)
-	}
-}
-
-// NewStream returns a generator seeded from seed whose Gaussian draws follow
-// the given stream version (0 canonicalizes to StreamV1). The uniform layers
-// are identical across versions — NewStream(s, StreamV1) and New(s) are the
-// same stream. Panics on an unknown version so a corrupted configuration
-// fails loudly instead of silently sampling garbage.
-func NewStream(seed uint64, v StreamVersion) *Rand {
-	v = v.Canon()
-	if v != StreamV1 && v != StreamV2 {
-		panic(fmt.Sprintf("rng: unknown stream version %d", uint8(v)))
-	}
-	r := New(seed)
-	r.version = v
-	return r
-}
-
-// Version reports the stream version of this generator (canonicalized:
-// generators from New report StreamV1).
-func (r *Rand) Version() StreamVersion { return r.version.Canon() }
+// NewStream is New: every stream draws its Gaussians by Box-Muller.
+func NewStream(seed uint64, _ StreamVersion) *Rand { return New(seed) }
 
 func (r *Rand) init(initState, initSeq uint64) {
 	r.state = 0
@@ -166,13 +90,12 @@ func hashLabel(label string) uint64 {
 
 // Split derives an independent child stream identified by label. Splitting
 // does not advance the parent stream, so the set of children is a pure
-// function of (parent seed, label). Children inherit the parent's stream
-// version, so one NewStream at the root versions a whole deployment.
+// function of (parent seed, label).
 func (r *Rand) Split(label string) *Rand {
 	sm := r.state ^ hashLabel(label)
 	s0 := splitmix64(&sm)
 	s1 := splitmix64(&sm) ^ r.inc
-	c := &Rand{version: r.version}
+	c := &Rand{}
 	c.init(s0, s1)
 	return c
 }
@@ -242,93 +165,9 @@ func (r *Rand) normPair() (c, s float64) {
 	}
 }
 
-// zigR is the rightmost ziggurat layer boundary for the standard normal
-// (Marsaglia & Tsang 2000, 128 layers).
-const zigR = 3.442619855899
-
-// Ziggurat tables: per-layer acceptance thresholds (kn), widths scaled to
-// the 31-bit integer draw (wn), and density values at the layer boundaries
-// (fn). Built once at init from the closed-form recurrence rather than
-// pasted as literals, so the 128-layer geometry is exact in float64.
-var (
-	zigKn [128]uint32
-	zigWn [128]float64
-	zigFn [128]float64
-)
-
-func init() {
-	const m1 = 2147483648.0 // 2^31: draws are signed 32-bit, |j| < 2^31
-	vn := 9.91256303526217e-3
-	dn := zigR
-	tn := dn
-	q := vn / math.Exp(-0.5*dn*dn)
-	zigKn[0] = uint32(dn / q * m1)
-	zigKn[1] = 0
-	zigWn[0] = q / m1
-	zigWn[127] = dn / m1
-	zigFn[0] = 1
-	zigFn[127] = math.Exp(-0.5 * dn * dn)
-	for i := 126; i >= 1; i-- {
-		dn = math.Sqrt(-2 * math.Log(vn/dn+math.Exp(-0.5*dn*dn)))
-		zigKn[i+1] = uint32(dn / tn * m1)
-		tn = dn
-		zigFn[i] = math.Exp(-0.5 * dn * dn)
-		zigWn[i] = dn / m1
-	}
-}
-
-// uniformOpen returns a uniform float64 in (0, 1) — never exactly zero, so
-// it is safe under a logarithm.
-func (r *Rand) uniformOpen() float64 {
-	for {
-		if u := r.Float64(); u != 0 {
-			return u
-		}
-	}
-}
-
-// zigNorm draws one standard normal via the 128-layer Marsaglia–Tsang
-// ziggurat — the StreamV2 sampler. ~98.8% of draws cost one Uint32, a table
-// lookup, one compare and one multiply; the Log/Sincos/Sqrt of Box-Muller
-// only appear on the rare wedge and tail paths.
-func (r *Rand) zigNorm() float64 {
-	for {
-		j := int32(r.Uint32())
-		i := j & 127
-		aj := j
-		if aj < 0 {
-			aj = -aj // math.MinInt32 stays negative; uint32() below handles it
-		}
-		if uint32(aj) < zigKn[i] {
-			return float64(j) * zigWn[i]
-		}
-		if i == 0 {
-			// Tail beyond ±R: Marsaglia's exact exponential rejection.
-			for {
-				x := -math.Log(r.uniformOpen()) / zigR
-				y := -math.Log(r.uniformOpen())
-				if y+y >= x*x {
-					if j > 0 {
-						return zigR + x
-					}
-					return -(zigR + x)
-				}
-			}
-		}
-		// Wedge between the rectangle and the density curve.
-		x := float64(j) * zigWn[i]
-		if zigFn[i]+float64(r.Float64()*(zigFn[i-1]-zigFn[i])) < math.Exp(-0.5*x*x) {
-			return x
-		}
-	}
-}
-
 // NormFloat64 returns a standard normal variate: Box-Muller with pair
-// caching under StreamV1, ziggurat under StreamV2.
+// caching.
 func (r *Rand) NormFloat64() float64 {
-	if r.version == StreamV2 {
-		return r.zigNorm()
-	}
 	if r.hasG {
 		r.hasG = false
 		return r.gauss
@@ -372,12 +211,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // draw is never −0. Whole pairs are drawn in blocks through
 // boxMullerBlock and scaled into dst by scalePairs.
 func (r *Rand) FillNormal(dst []float32, mu, sigma float32) {
-	if r.version == StreamV2 {
-		for i := range dst {
-			dst[i] = mu + float32(sigma*float32(r.zigNorm()))
-		}
-		return
-	}
 	i := 0
 	if r.hasG && len(dst) > 0 {
 		r.hasG = false
@@ -404,12 +237,6 @@ func (r *Rand) FillNormal(dst []float32, mu, sigma float32) {
 // are drawn in blocks through boxMullerBlock and added into dst by
 // addPairs.
 func (r *Rand) FillNormalAdd(dst []float32, sigma float32) {
-	if r.version == StreamV2 {
-		for i := range dst {
-			dst[i] += float32(sigma * float32(r.zigNorm()))
-		}
-		return
-	}
 	i := 0
 	if r.hasG && len(dst) > 0 {
 		r.hasG = false

@@ -43,7 +43,7 @@ func (h *Histogram) Density(i int) float64 {
 // BinCenter returns the center of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
+	return h.Lo + float64((float64(i)+0.5)*width)
 }
 
 // KDE is a Gaussian kernel density estimate, as used for the activation /
@@ -99,7 +99,7 @@ func (k *KDE) Grid(lo, hi float64, n int) (xs, ys []float64) {
 	}
 	step := (hi - lo) / float64(n-1)
 	for i := 0; i < n; i++ {
-		xs[i] = lo + float64(i)*step
+		xs[i] = lo + float64(float64(i)*step)
 		ys[i] = k.At(xs[i])
 	}
 	return

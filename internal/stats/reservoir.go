@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 
 	"nora/internal/rng"
 )
@@ -64,21 +63,7 @@ func (rv *Reservoir) Quantile(q float64) float64 {
 	if q >= 1 {
 		return rv.Max()
 	}
-	sorted := make([]float64, len(rv.samples))
-	for i, v := range rv.samples {
-		sorted[i] = float64(v)
-	}
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return Quantile(rv.samples, q)
 }
 
 // ChannelQuantileTracker keeps one absolute-value reservoir per channel,

@@ -47,10 +47,10 @@ func Summarize(xs []float32) Summary {
 	var m2, m3, m4 float64
 	for _, v := range xs {
 		d := float64(v) - s.Mean
-		d2 := d * d
+		d2 := float64(d * d)
 		m2 += d2
-		m3 += d2 * d
-		m4 += d2 * d2
+		m3 += float64(d2 * d)
+		m4 += float64(d2 * d2)
 	}
 	m2 /= n
 	m3 /= n
@@ -79,7 +79,7 @@ func MSE(a, b []float32) float64 {
 	var s float64
 	for i, v := range a {
 		d := float64(v) - float64(b[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(a))
 }
@@ -96,9 +96,9 @@ func SNRdB(sig, noisy []float32) float64 {
 	var p, e float64
 	for i, v := range sig {
 		f := float64(v)
-		p += f * f
+		p += float64(f * f)
 		d := f - float64(noisy[i])
-		e += d * d
+		e += float64(d * d)
 	}
 	if e == 0 {
 		return math.Inf(1)
@@ -123,11 +123,11 @@ func Quantile(xs []float32, q float64) float64 {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
