@@ -2,9 +2,10 @@
 // for each concurrency level it keeps that many in-flight predict requests
 // against the server for a fixed duration, then reports client-side
 // latency quantiles (p50/p95/p99), throughput, and rejection counts, plus
-// the server-side micro-batch statistics read back from /statz. The result
-// is the throughput-vs-concurrency curve that shows dynamic batching
-// amortizing analog reads across requests.
+// the scheduler's mean sequences per step read back from /statz. The
+// result is the throughput-vs-concurrency curve of continuous batching:
+// concurrent predicts share the scheduler's steps, and each step runs on
+// every core.
 //
 // With -generate the workload switches to streaming /v1/generate requests:
 // each worker holds one generation stream open at a time, and the report
@@ -141,7 +142,7 @@ func main() {
 		"concurrency", "req/s", "ok", "429", "errors", "p50 ms", "p95 ms", "p99 ms", "mean batch")
 	for _, c := range conc {
 		res := runLevel(client, *url, *modelKey, *mode, spec.Cfg.Vocab, n, c, *duration, *seed)
-		// Server-side batching stats, delta'd per level via absolute counters.
+		// The scheduler's mean sequences per step, cumulative to this level.
 		statz, err := fetchStatz(client, *url)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -153,7 +154,7 @@ func main() {
 			float64(res.ok)/res.elapsed.Seconds(),
 			float64(res.ok), float64(res.rejects), float64(res.errs),
 			lat[0], lat[1], lat[2],
-			statz.Batch.MeanBatch,
+			statz.Gen.MeanSeqs,
 		)
 	}
 	if err := tbl.WriteText(os.Stdout); err != nil {
@@ -162,9 +163,9 @@ func main() {
 	}
 	statz, err := fetchStatz(client, *url)
 	if err == nil {
-		fmt.Printf("\nserver: %d batches carried %d predicts (mean %.2f, max %d), %d rejected, eval-memo hit rate %.0f%%\n",
-			statz.Batch.Batches, statz.Batch.Requests, statz.Batch.MeanBatch,
-			statz.Batch.MaxBatch, statz.Batch.QueueFull, 100*statz.EvalMemoHitRate)
+		fmt.Printf("\nserver: %d steps carried %d predicts (mean %.2f sequences per step, max %d), %d rejected, %d canceled, eval-memo hit rate %.0f%%\n",
+			statz.Gen.Steps, statz.Gen.Predict.Requests, statz.Gen.MeanSeqs, statz.Gen.MaxBatch,
+			statz.Gen.Predict.QueueFull, statz.Gen.Predict.Canceled, 100*statz.EvalMemoHitRate)
 	}
 	if *csvPath != "" {
 		if err := tbl.WriteCSVFile(*csvPath); err != nil {

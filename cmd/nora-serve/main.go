@@ -1,13 +1,14 @@
 // Command nora-serve exposes the experiment engine as an HTTP inference
-// service (internal/serve): micro-batched /v1/predict, continuous-batched
-// streaming /v1/generate, engine-memoized /v1/eval, /healthz, and /statz. Models come from the same cached zoo the
-// offline experiments use, so a served answer is comparable — and for
-// /v1/eval identical — to the corresponding offline run.
+// service (internal/serve): /v1/predict and streaming /v1/generate on one
+// continuous-batching scheduler per replica, engine-memoized /v1/eval,
+// /healthz, and /statz. Models come from the same cached zoo the offline
+// experiments use, so a served answer is comparable — and for /v1/eval
+// identical — to the corresponding offline run.
 //
 // Usage:
 //
 //	nora-serve [-addr :8080] [-models opt-c1,llama-c1] [-modeldir testdata/models]
-//	           [-max-batch 16] [-max-delay 2ms] [-queue 256] [-timeout 30s]
+//	           [-queue 256] [-timeout 30s]
 //	           [-decode-batch 16] [-prefill-chunk 64] [-kv-pages 0]
 //	           [-chips 1] [-policy health] [-fault-gradient 0]
 //	           [-eval 150]
@@ -19,7 +20,7 @@
 // reprogram scenarios.
 //
 // Shut down with SIGINT/SIGTERM: the listener stops accepting, in-flight
-// requests drain, then the micro-batchers close.
+// requests drain, then the schedulers close.
 package main
 
 import (
@@ -45,12 +46,10 @@ func main() {
 	flt.RegisterFlags(flag.CommandLine)
 	addr := flag.String("addr", ":8080", "listen address")
 	models := flag.String("models", "", "comma-separated zoo keys to serve (empty = full zoo)")
-	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "max predict requests per micro-batch")
-	maxDelay := flag.Duration("max-delay", serve.DefaultMaxDelay, "max wait for a micro-batch to fill")
-	queue := flag.Int("queue", serve.DefaultQueueDepth, "admission queue depth per deployment (beyond it: 429)")
+	queue := flag.Int("queue", serve.DefaultQueueDepth, "admission queue depth per replica, predicts and generates together (beyond it: 429)")
 	timeout := flag.Duration("timeout", serve.DefaultRequestTimeout, "server-side per-request deadline")
-	decodeBatch := flag.Int("decode-batch", serve.DefaultMaxDecodeBatch, "max concurrent /v1/generate sequences per decode batch")
-	prefillChunk := flag.Int("prefill-chunk", serve.DefaultPrefillChunk, "max prompt tokens consumed per mixed decode step (chunked prefill)")
+	decodeBatch := flag.Int("decode-batch", serve.DefaultMaxDecodeBatch, "max concurrent sequences (predicts and generates) per scheduler step")
+	prefillChunk := flag.Int("prefill-chunk", serve.DefaultPrefillChunk, "max generate-prompt tokens consumed per mixed step (chunked prefill; predict contexts ride whole)")
 	kvPages := flag.Int("kv-pages", 0, "KV page pool size per generation scheduler (0 = slab-equivalent)")
 	flag.Parse()
 
@@ -74,8 +73,6 @@ func main() {
 	}
 
 	srv := serve.New(opt.NewEngine(), serve.Config{
-		MaxBatch:       *maxBatch,
-		MaxDelay:       *maxDelay,
 		QueueDepth:     *queue,
 		RequestTimeout: *timeout,
 		MaxDecodeBatch: *decodeBatch,
@@ -90,8 +87,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("nora-serve: listening on %s, serving %v (max-batch %d, max-delay %v, queue %d, decode-batch %d, prefill-chunk %d, kv-pages %d, chips %d, policy %s)",
-		*addr, srv.Models(), *maxBatch, *maxDelay, *queue, *decodeBatch, *prefillChunk, *kvPages, flt.Chips, fleetCfg.Policy)
+	log.Printf("nora-serve: listening on %s, serving %v (queue %d, decode-batch %d, prefill-chunk %d, kv-pages %d, chips %d, policy %s)",
+		*addr, srv.Models(), *queue, *decodeBatch, *prefillChunk, *kvPages, flt.Chips, fleetCfg.Policy)
 
 	select {
 	case <-ctx.Done():
@@ -99,7 +96,7 @@ func main() {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		// Order matters: stop accepting and drain HTTP handlers first, then
-		// drain the micro-batchers those handlers were waiting on.
+		// stop the schedulers those handlers were waiting on.
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 			log.Printf("nora-serve: http shutdown: %v", err)
 		}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"nora/internal/analog"
 	"nora/internal/nn"
+	"nora/internal/rng"
 	"nora/internal/tensor"
 )
 
@@ -307,4 +309,143 @@ func TestGenerationScopeIndependentOfBatchComposition(t *testing.T) {
 	if fmt.Sprint(alone) != fmt.Sprint(crowded) {
 		t.Fatalf("tokens depend on batch composition: alone %v vs crowded %v", alone, crowded)
 	}
+}
+
+// A step split across workers changes no bit: random mixes of decode rows
+// and prefill chunks of 1–17 tokens over several slots, in shuffled
+// segment order, on digital, naive and NORA deployments, must give every
+// sequence exactly the logits rows — and so the tokens — of decoding it
+// alone with the sequential Generator under its scope. GOMAXPROCS is
+// raised to at least 2 so the steps split on 1-CPU runners too.
+func TestSplitStepMatchesAlone(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	cfg := nn.Config{Name: "split", Arch: nn.ArchOPT, Vocab: 40, DModel: 32, NHeads: 4, NLayers: 2, DFF: 64, MaxSeq: 48}
+	m, err := nn.NewModel(cfg, rng.New(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(24)
+	randTokens := func(n int) []int {
+		toks := make([]int, n)
+		for i := range toks {
+			toks[i] = int(r.Uint64() % uint64(cfg.Vocab))
+		}
+		return toks
+	}
+	var calib [][]int
+	for i := 0; i < 8; i++ {
+		calib = append(calib, randTokens(16))
+	}
+	acfg := analog.PaperPreset()
+	acfg.TileRows, acfg.TileCols = 16, 16 // multi-tile grids
+	for _, tc := range []struct {
+		name   string
+		runner *nn.Runner
+	}{
+		{"digital", nn.NewRunner(m)},
+		{"naive", Deploy(m, DeployAnalogNaive, nil, acfg, 42, Options{})},
+		{"nora", Deploy(m, DeployAnalogNORA, Calibrate(m, calib), acfg, 42, Options{})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const reqs, slots, decode = 10, 4, 5
+			prompts := make([][]int, reqs)
+			want := make([][][]float32, reqs)
+			scope := func(i int) string { return fmt.Sprintf("split/req%d", i) }
+			for i := range prompts {
+				prompts[i] = randTokens(1 + int(r.Uint64()%30))
+				want[i], _ = greedyRef(tc.runner, scope(i), prompts[i], decode)
+			}
+			type seq struct {
+				req, slot, next, emit int
+				pending               []int
+			}
+			bg := nn.NewBatchGeneratorPaged(tc.runner, slots, 4, 0)
+			var live []*seq
+			admitted := 0
+			for admitted < reqs || len(live) > 0 {
+				for admitted < reqs && bg.Free() > 0 {
+					p := prompts[admitted]
+					slot, err := bg.Begin(scope(admitted), len(p)+decode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, &seq{req: admitted, slot: slot, pending: p})
+					admitted++
+				}
+				for i := len(live) - 1; i > 0; i-- {
+					j := int(r.Uint64() % uint64(i+1))
+					live[i], live[j] = live[j], live[i]
+				}
+				var segs []nn.StepSeg
+				var rows []*seq
+				for i, q := range live {
+					if i > 0 && r.Uint64()%5 == 0 {
+						continue // sits this step out
+					}
+					toks := []int{q.next}
+					if len(q.pending) > 0 {
+						n := min(1+int(r.Uint64()%17), len(q.pending))
+						toks, q.pending = q.pending[:n], q.pending[n:]
+					}
+					segs = append(segs, nn.StepSeg{Slot: q.slot, Tokens: toks})
+					rows = append(rows, q)
+				}
+				logits, err := bg.StepSegs(segs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, q := range rows {
+					if len(q.pending) > 0 {
+						continue // mid-prompt: no observable row
+					}
+					row, w := logits.Row(i), want[q.req][q.emit]
+					for j := range row {
+						if row[j] != w[j] {
+							t.Fatalf("req %d row %d col %d: split step %v != alone %v", q.req, q.emit, j, row[j], w[j])
+						}
+					}
+					q.emit++
+					q.next = argmaxF(row)
+				}
+				out := live[:0]
+				for _, q := range live {
+					if q.emit > decode {
+						bg.Release(q.slot)
+						continue
+					}
+					out = append(out, q)
+				}
+				live = out
+			}
+		})
+	}
+
+	// An unscoped sequence on an analog runner shares the runner's stream,
+	// so its steps must not split: on two procs a step reads exactly what it
+	// reads on one.
+	t.Run("unscoped", func(t *testing.T) {
+		step := func(procs int) []float32 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			bg := nn.NewBatchGenerator(Deploy(m, DeployAnalogNaive, nil, acfg, 43, Options{}), 2)
+			a, _ := bg.Begin("", 0)
+			b, _ := bg.Begin("", 0)
+			var out []float32
+			for i := 0; i < 8; i += 2 {
+				logits, err := bg.StepSegs([]nn.StepSeg{{Slot: a, Tokens: calib[0][i : i+2]}, {Slot: b, Tokens: calib[1][i : i+1]}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, logits.Data...)
+			}
+			return out
+		}
+		one, two := step(1), step(2)
+		for i := range one {
+			if one[i] != two[i] {
+				t.Fatalf("logit %d: %v on two procs, %v on one", i, two[i], one[i])
+			}
+		}
+	})
 }

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"nora/internal/tensor"
 )
@@ -20,16 +22,25 @@ import (
 // needs to admit, chunk-prefill, and retire sequences at step boundaries
 // freely.
 //
+// A step with several sequences runs on every core: StepSegs cuts them
+// into contiguous groups and steps each group on its own worker.
+//
 // A BatchGenerator is not safe for concurrent use; the serving scheduler
 // drives it from a single goroutine.
 type BatchGenerator struct {
-	r     *Runner
-	pool  *kvPagePool
-	slots []*decodeState // pooled per-slot sequence states
-	inUse []bool
-	free  int
-	sc    decodeScratch
-	segs  []stepSeg // step assembly buffer
+	r      *Runner
+	noisy  bool // the runner has operators that draw read noise
+	pool   *kvPagePool
+	slots  []*decodeState // pooled per-slot sequence states
+	inUse  []bool
+	stamp  []uint64 // step that last carried each slot (duplicate check)
+	steps  uint64
+	free   int
+	segs   []stepSeg    // step assembly buffer
+	groups []*stepGroup // per-worker shares of a step; groups[0] runs unsplit steps too
+	wg     sync.WaitGroup
+	logits []float32 // the gathered logits of a split step
+	outM   tensor.Matrix
 }
 
 // NewBatchGenerator returns a generator with maxSlots pooled sequence slots
@@ -64,14 +75,17 @@ func NewBatchGeneratorPaged(r *Runner, maxSlots, pageTokens, totalPages int) *Ba
 		totalPages = maxSlots * perSlot
 	}
 	bg := &BatchGenerator{
-		r:    r,
-		free: maxSlots,
-		pool: newKVPagePool(len(m.Blocks), m.Cfg.KVDim(), pageTokens, totalPages),
+		r:     r,
+		noisy: r.hasScopedOps(),
+		free:  maxSlots,
+		pool:  newKVPagePool(len(m.Blocks), m.Cfg.KVDim(), pageTokens, totalPages),
 	}
 	for i := 0; i < maxSlots; i++ {
 		bg.slots = append(bg.slots, newDecodeState(r, bg.pool))
 	}
 	bg.inUse = make([]bool, maxSlots)
+	bg.stamp = make([]uint64, maxSlots)
+	bg.groups = []*stepGroup{{bg: bg}}
 	return bg
 }
 
@@ -132,7 +146,7 @@ func (bg *BatchGenerator) Begin(scope string, budget int) (int, error) {
 		st.releasePages()
 		return -1, err
 	}
-	if scope != "" && bg.r.hasScopedOps() {
+	if scope != "" && bg.noisy {
 		st.runner = bg.r.WithNoiseScope(scope)
 	} else {
 		st.runner = bg.r
@@ -170,19 +184,120 @@ type StepSeg struct {
 // meaningful to sample from only when the segment completes the prompt.
 // A slot may appear in at most one segment per step. Every sequence's
 // tokens remain bit-identical to a sequential Generator run regardless of
-// how prompts are chunked across steps or what shares each batch. Errors
-// are reported before any sequence position advances.
+// how prompts are chunked across steps, what shares each batch, or how the
+// step is split across workers. Errors are reported before any sequence
+// position advances.
 func (bg *BatchGenerator) StepSegs(segs []StepSeg) (*tensor.Matrix, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("nn: decode: empty step")
 	}
+	bg.steps++
 	ss := bg.segs[:0]
+	scoped := true // every sequence draws from its own streams
 	for _, s := range segs {
 		if s.Slot < 0 || s.Slot >= len(bg.slots) || !bg.inUse[s.Slot] {
 			return nil, fmt.Errorf("nn: decode: slot %d not active", s.Slot)
 		}
-		ss = append(ss, stepSeg{st: bg.slots[s.Slot], tokens: s.Tokens})
+		if bg.stamp[s.Slot] == bg.steps {
+			return nil, fmt.Errorf("nn: decode: slot %d appears twice in one step", s.Slot)
+		}
+		bg.stamp[s.Slot] = bg.steps
+		st := bg.slots[s.Slot]
+		scoped = scoped && (!bg.noisy || st.runner != bg.r)
+		ss = append(ss, stepSeg{st: st, tokens: s.Tokens})
 	}
 	bg.segs = ss
-	return stepSegments(bg.r, ss, &bg.sc)
+	if err := prepareSegments(bg.r.model, ss); err != nil {
+		return nil, err
+	}
+	// An unscoped sequence on a noisy runner shares the runner's stream, and
+	// a PreLinear hook sees every batch: either keeps the step on one worker.
+	workers := min(runtime.GOMAXPROCS(0), len(ss))
+	if workers < 2 || !scoped || bg.r.PreLinear != nil {
+		return runSegments(bg.r, ss, &bg.groups[0].sc), nil
+	}
+	return bg.runSplit(ss, workers), nil
+}
+
+// stepGroup is one worker's share of a split step: a contiguous run of
+// whole sequences and the scratch its step body runs on.
+type stepGroup struct {
+	bg   *BatchGenerator
+	segs []stepSeg
+	sc   decodeScratch
+	out  *tensor.Matrix
+}
+
+func (g *stepGroup) run() { g.out = runSegments(g.bg.r, g.segs, &g.sc) }
+
+// runSplit steps prepared segments on k ≥ 2 workers. The segments are cut
+// into k contiguous groups of whole sequences holding about the same number
+// of rows; the calling goroutine steps the first group and package helpers
+// the rest, each on its group's own scratch. A sequence's rows stay in
+// order on one worker and draw only from its own streams, and no row's
+// arithmetic depends on what else shares its read, so the split changes no
+// bit. The logits rows are gathered in segment order.
+func (bg *BatchGenerator) runSplit(segs []stepSeg, k int) *tensor.Matrix {
+	for len(bg.groups) < k {
+		bg.groups = append(bg.groups, &stepGroup{bg: bg})
+	}
+	n := 0
+	for _, s := range segs {
+		n += len(s.tokens)
+	}
+	// Close group g after segment i once the next segment's midpoint lies
+	// past the group's share of the rows, g·n/k; the last group takes the
+	// rest. With k ≥ 2 the first group always closes before the last
+	// segment, so every group holds at least one sequence.
+	groups, lo, rows := 0, 0, 0
+	for i, s := range segs {
+		rows += len(s.tokens)
+		if i == len(segs)-1 || (groups < k-1 && (2*rows+len(segs[i+1].tokens))*k >= 2*(groups+1)*n) {
+			bg.groups[groups].segs = segs[lo : i+1]
+			groups++
+			lo = i + 1
+		}
+	}
+	startStepHelpers(groups - 1)
+	bg.wg.Add(groups - 1)
+	for _, g := range bg.groups[1:groups] {
+		stepWork <- g
+	}
+	bg.groups[0].run()
+	bg.wg.Wait()
+
+	vocab := bg.r.model.Cfg.Vocab
+	out := &bg.outM
+	out.Rows, out.Cols = len(segs), vocab
+	out.Data = growF(&bg.logits, len(segs)*vocab)
+	r := 0
+	for _, g := range bg.groups[:groups] {
+		r += copy(out.Data[r:], g.out.Data)
+	}
+	return out
+}
+
+// stepWork feeds split-step groups to the helper goroutines. The helpers
+// belong to the package, not to a generator: they start on demand, at most
+// one per group a step has needed beyond its caller's, and live for the
+// process, so a step starts no goroutine in steady state and a dropped
+// generator leaks none.
+var (
+	stepWork    = make(chan *stepGroup)
+	stepMu      sync.Mutex
+	stepHelpers int // helpers started; guarded by stepMu
+)
+
+// startStepHelpers makes sure at least n helpers are running.
+func startStepHelpers(n int) {
+	stepMu.Lock()
+	defer stepMu.Unlock()
+	for ; stepHelpers < n; stepHelpers++ {
+		go func() {
+			for g := range stepWork {
+				g.run()
+				g.bg.wg.Done()
+			}
+		}()
+	}
 }

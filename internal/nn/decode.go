@@ -128,6 +128,49 @@ func growStates(buf *[]*decodeState, n int) []*decodeState {
 // a single pass is what lets long prompts ride along with live decodes
 // instead of stalling them.
 //
+// A slot must appear in at most one segment per step. No sequence position
+// advances when an error is returned (page reservations may grow, which is
+// unobservable).
+func stepSegments(base *Runner, segs []stepSeg, sc *decodeScratch) (*tensor.Matrix, error) {
+	if err := prepareSegments(base.model, segs); err != nil {
+		return nil, err
+	}
+	return runSegments(base, segs, sc), nil
+}
+
+// prepareSegments validates a step's segments and reserves the KV pages
+// their new positions need. It is the only part of a step that touches the
+// shared page pool, so a step split across workers runs it first, serially.
+func prepareSegments(m *Model, segs []stepSeg) error {
+	if len(segs) == 0 {
+		return fmt.Errorf("nn: decode: empty step")
+	}
+	for _, s := range segs {
+		T := len(s.tokens)
+		if T == 0 {
+			return ErrEmptyPrompt
+		}
+		if s.st.pos+T > m.Cfg.MaxSeq {
+			return ErrCacheFull
+		}
+		for _, tok := range s.tokens {
+			if tok < 0 || tok >= m.Cfg.Vocab {
+				return &TokenRangeError{Token: tok, Vocab: m.Cfg.Vocab}
+			}
+		}
+	}
+	for _, s := range segs {
+		if err := s.st.reserve(s.st.pos + len(s.tokens)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runSegments is the body of a step over prepared segments. It writes only
+// the segments' own sequences and sc, so disjoint sets of sequences can run
+// it concurrently on separate scratches.
+//
 // Bit-exactness: stochastic operators consume row i under rowStates[i]'s
 // scoped stream in ascending row order (applyRowScoped), so a sequence's
 // rows draw exactly what they would draw appended one at a time, whatever
@@ -136,37 +179,12 @@ func growStates(buf *[]*decodeState, n int) []*decodeState {
 // head is evaluated only for each segment's last row — earlier rows'
 // logits are unobservable, and the head draws nothing, so skipping them
 // cannot change results.
-//
-// A slot must appear in at most one segment per step. No sequence position
-// advances when an error is returned (page reservations may grow, which is
-// unobservable).
-func stepSegments(base *Runner, segs []stepSeg, sc *decodeScratch) (*tensor.Matrix, error) {
+func runSegments(base *Runner, segs []stepSeg, sc *decodeScratch) *tensor.Matrix {
 	m := base.model
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("nn: decode: empty step")
-	}
 	n := 0
 	for _, s := range segs {
-		T := len(s.tokens)
-		if T == 0 {
-			return nil, ErrEmptyPrompt
-		}
-		if s.st.pos+T > m.Cfg.MaxSeq {
-			return nil, ErrCacheFull
-		}
-		for _, tok := range s.tokens {
-			if tok < 0 || tok >= m.Cfg.Vocab {
-				return nil, &TokenRangeError{Token: tok, Vocab: m.Cfg.Vocab}
-			}
-		}
-		n += T
+		n += len(s.tokens)
 	}
-	for _, s := range segs {
-		if err := s.st.reserve(s.st.pos + len(s.tokens)); err != nil {
-			return nil, err
-		}
-	}
-
 	d := m.Cfg.DModel
 	rowStates := growStates(&sc.rowStates, n)
 	positions := growInt(&sc.pos, n)
@@ -204,7 +222,7 @@ func stepSegments(base *Runner, segs []stepSeg, sc *decodeScratch) (*tensor.Matr
 	for _, s := range segs {
 		s.st.pos += len(s.tokens)
 	}
-	return logits, nil
+	return logits
 }
 
 // stepBlock runs one transformer block over the stacked rows x (row i

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"nora/internal/rng"
@@ -178,6 +179,9 @@ func TestBatchGeneratorErrors(t *testing.T) {
 	if _, err := stepTokens(bg, []int{5}, []int{1}); err == nil {
 		t.Fatal("inactive slot must error")
 	}
+	if _, err := stepTokens(bg, []int{s0, s0}, []int{1, 1}); err == nil || bg.Pos(s0) != 2 {
+		t.Fatalf("a slot twice in one step must error before any position advances: %v, pos %d", err, bg.Pos(s0))
+	}
 	bg.Release(s1)
 	if _, err := stepTokens(bg, []int{s1}, []int{1}); err == nil {
 		t.Fatal("released slot must error")
@@ -327,6 +331,69 @@ func TestChunkedStepAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, runOnce)
 	if allocs != 0 {
 		t.Fatalf("chunked step allocates %v times in steady state, want 0", allocs)
+	}
+
+	// AllocsPerRun pins GOMAXPROCS to 1, which keeps every step on one
+	// worker; count the split steps' allocations on two procs by hand. The
+	// count is process-wide, and the runtime now and then allocates for
+	// itself when a hand-off wakes another thread (a new M, a refilled
+	// cache of wait records), so gate the quietest of five rounds: an
+	// allocation per step would show in every round.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	runOnce() // warm the second worker's scratch and start its helper
+	fewest := uint64(1 << 63)
+	for round := 0; round < 5; round++ {
+		// Restart the decoding sequence so the round's runs fit its window.
+		bg.Release(slotD)
+		if slotD, _, err = admitPrompt(bg, []int{3, 4}, "", 0); err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for i := 0; i < 50; i++ {
+			runOnce()
+		}
+		runtime.ReadMemStats(&ms)
+		fewest = min(fewest, ms.Mallocs-before)
+	}
+	if fewest != 0 {
+		t.Fatalf("split chunked steps allocate at least %d times in 50 runs, want 0", fewest)
+	}
+}
+
+// A split step starts no goroutine of its own: its helpers belong to the
+// package. Creating, stepping and dropping 100 generators leaves the
+// goroutine count where the first split step left it.
+func TestSplitStepStartsNoGoroutines(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	m, _ := NewModel(optConfig(), rng.New(817))
+	r := NewRunner(m)
+	step := func() {
+		bg := NewBatchGenerator(r, 2)
+		a, _ := bg.Begin("", 0)
+		b, _ := bg.Begin("", 0)
+		if _, err := bg.StepSegs([]StepSeg{{Slot: a, Tokens: []int{1, 2}}, {Slot: b, Tokens: []int{3}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	stepMu.Lock()
+	started := stepHelpers
+	stepMu.Unlock()
+	if started < 1 {
+		t.Fatal("a two-sequence step on two procs ran on one worker")
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("100 dropped generators raised the goroutine count from %d to %d", before, after)
 	}
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"nora/internal/autograd"
@@ -415,5 +416,45 @@ func TestLogitsValidation(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// The branch-free ReLU must keep exactly what !(x > 0) → +0 keeps, bit for
+// bit, on the values where a bit trick can go wrong — ±0, ±Inf, quiet and
+// signalling NaNs of both signs, the ±smallest subnormal, ±MaxFloat32 — at
+// the head, middle and tail of every length from 0 to 70 among random
+// normals.
+func TestReluInPlaceEdges(t *testing.T) {
+	edges := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000), // quiet NaNs
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xff800001), // signalling NaNs
+		math.Float32frombits(0x7fffffff), math.Float32frombits(0xffffffff),
+		math.Float32frombits(1), math.Float32frombits(0x80000001), // ±smallest subnormal
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	r := rng.New(819)
+	for n := 0; n <= 70; n++ {
+		for _, e := range edges {
+			v := make([]float32, n)
+			r.FillNormal(v, 0, 1)
+			if n > 0 {
+				v[0], v[n/2], v[n-1] = e, e, e
+			}
+			want := append([]float32(nil), v...)
+			for i, x := range want {
+				if !(x > 0) {
+					want[i] = 0
+				}
+			}
+			reluInPlace(v)
+			for i := range v {
+				if math.Float32bits(v[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("len %d, edge %v: element %d = %#08x, want %#08x",
+						n, e, i, math.Float32bits(v[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
 	}
 }

@@ -396,12 +396,16 @@ func rmsNormInferInto(out, x *tensor.Matrix, gain []float32) {
 }
 
 // reluInPlace replaces every element of v that is not > 0 by +0, so −0
-// and NaN become +0 too.
+// and NaN become +0 too. It has no data-dependent branch, which random-sign
+// activations would mispredict half the time: x > 0 holds exactly when its
+// bits b satisfy b−1 < 0x7f800000 as an unsigned compare (+0 wraps to
+// 0xffffffff; negatives and NaNs land at or above it), and the borrow of
+// that subtraction, widened to 64 bits, is the mask that keeps or clears b.
 func reluInPlace(v []float32) {
 	for i, x := range v {
-		if !(x > 0) {
-			v[i] = 0
-		}
+		b := math.Float32bits(x)
+		keep := uint32(int64(uint64(b-1)-0x7f800000) >> 63)
+		v[i] = math.Float32frombits(b & keep)
 	}
 }
 

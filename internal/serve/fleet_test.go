@@ -224,7 +224,7 @@ func TestGenerateFollowsReprogram(t *testing.T) {
 	}
 	worn := grp.Replicas()[1] // replica 1 lives on chip b
 	greedy := func() []int {
-		return nn.NewGenerator(worn.Runner().WithNoiseScope(genScope(prompt))).Greedy(prompt, n)
+		return nn.NewGenerator(worn.Runner().WithNoiseScope(contentScope("serve/gen/", prompt))).Greedy(prompt, n)
 	}
 	generate := func() []int {
 		t.Helper()

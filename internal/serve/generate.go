@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,10 +51,11 @@ type generateEvent struct {
 	Error        string  `json:"error,omitempty"`
 }
 
-// genJob is one admitted generate request travelling through a scheduler.
-// events is buffered for the full clamped token budget plus the final, so
-// the scheduler can always retire a sequence without blocking — even when
-// the client has stopped reading.
+// genJob is one admitted request travelling through a scheduler: a
+// generate, or a predict, which is a greedy one-token generate whose
+// handler answers from the token event. events is buffered for the full
+// clamped token budget plus the final, so the scheduler can always retire
+// a sequence without blocking — even when the client has stopped reading.
 type genJob struct {
 	ctx         context.Context
 	prompt      []int
@@ -65,6 +67,24 @@ type genJob struct {
 	sampler     *rng.Rand
 	enqueued    time.Time
 	events      chan generateEvent
+	predict     bool
+
+	// Written by the scheduler before it sends the job's token event.
+	firstStep time.Time // start of the first step that carried the job
+	batchSize int       // sequences in the step that emitted the last token
+}
+
+// newPredictJob is the scheduler job of one /v1/predict context.
+func newPredictJob(ctx context.Context, tokens []int, enqueued time.Time) *genJob {
+	return &genJob{
+		ctx:       ctx,
+		prompt:    tokens,
+		maxTokens: 1,
+		scope:     contentScope("serve/predict/", tokens),
+		enqueued:  enqueued,
+		events:    make(chan generateEvent, 2),
+		predict:   true,
+	}
 }
 
 // genSeq is a job while it occupies a BatchGenerator slot. pending holds
@@ -81,13 +101,14 @@ type genSeq struct {
 	emitted int
 }
 
-// genScheduler owns continuous-batching generation for one (model, mode)
-// deployment: a single goroutine drives a paged-KV BatchGenerator,
-// admitting queued requests whenever their full page budget fits (at step
-// boundaries, never mid-step), advancing every in-flight sequence through
-// mixed decode+prefill steps, and retiring finished or canceled sequences
-// without flushing the rest of the batch. Each request decodes under its
-// own content-derived noise scope, so its stream is a pure function of
+// genScheduler owns continuous batching for one replica of a (model, mode)
+// deployment, for predicts and generates alike: a single goroutine drives
+// a paged-KV BatchGenerator, admitting queued requests in FIFO order
+// whenever their full page budget fits (at step boundaries, never
+// mid-step), advancing every in-flight sequence through mixed
+// decode+prefill steps, and retiring finished or canceled sequences
+// without flushing the rest of the batch. Each request reads under its own
+// content-derived noise scope, so its answer is a pure function of
 // (deployment, its own tokens) regardless of what shares the batch — and,
 // with chunked prefill, regardless of how its prompt was chunked.
 type genScheduler struct {
@@ -101,9 +122,9 @@ type genScheduler struct {
 }
 
 // genSchedulerFor returns (creating and starting on first use) the
-// generation scheduler for one workload, mode, and routed replica (each
-// replica decodes on its own simulated chip, so each has its own
-// scheduler and KV pool).
+// scheduler for one workload, mode, and routed replica (each replica
+// decodes on its own simulated chip, so each has its own scheduler and KV
+// pool).
 func (s *Server) genSchedulerFor(wl *harness.Workload, mode core.DeployMode, rep *fleet.Replica) (*genScheduler, error) {
 	key := fmt.Sprintf("%s/%s#%d", wl.Spec.Key, mode, rep.Index)
 	s.mu.RLock()
@@ -139,8 +160,9 @@ func (s *Server) genSchedulerFor(wl *harness.Workload, mode core.DeployMode, rep
 }
 
 // enqueue admits the job into the bounded queue, reporting false when the
-// queue is full or the server closed (same locking discipline as the
-// predict batcher: the read lock orders admission against Close).
+// queue is full or the server closed. The read lock orders admission
+// against Close: once Close has set closed (under the write lock), no new
+// job can slip into a queue the draining scheduler has already emptied.
 func (g *genScheduler) enqueue(job *genJob) bool {
 	g.srv.mu.RLock()
 	defer g.srv.mu.RUnlock()
@@ -170,9 +192,9 @@ func (j *genJob) finish(reason string, errText string) {
 // the server closes. Admission happens only between steps. A job that does
 // not fit the KV page pool right now parks (at most one — the queue stays
 // FIFO behind it) and retries at every step boundary until retirements
-// free enough pages. On shutdown the queue, the parked job, and the
-// in-flight batch retire with "shutdown" finals (generation is not drained
-// to completion — a decode can be arbitrarily long).
+// free enough pages. Once Close signals stop, generations retire with
+// "shutdown" finals (a decode can be arbitrarily long), while the loop
+// keeps stepping until every admitted predict is answered.
 //
 // Live KV caches are bound to the runner that filled them, so a chip
 // re-programming mid-decode does not swap hardware under running
@@ -182,17 +204,39 @@ func (j *genJob) finish(reason string, errText string) {
 // old-realization sequences are still retiring waits for them.
 func (g *genScheduler) loop() {
 	defer g.srv.wg.Done()
+	stop := g.stop             // nil once Close is seen: the loop drains
 	var dep *engine.Deployment // the realization bg decodes on
 	var bg *nn.BatchGenerator
 	var active []*genSeq
 	var parked *genJob // pulled from the queue, waiting on a KV slot or pages
 	for {
 		if len(active) == 0 && parked == nil {
+			if stop != nil {
+				select {
+				case parked = <-g.queue:
+				case <-stop:
+					stop = nil
+				}
+			}
+			if stop == nil && parked == nil {
+				select {
+				case parked = <-g.queue:
+				default:
+					return // admission is closed, so the queue stays empty
+				}
+			}
+		} else if stop != nil {
 			select {
-			case parked = <-g.queue:
-			case <-g.stop:
-				g.shutdown(active, parked)
-				return
+			case <-stop:
+				stop = nil
+			default:
+			}
+		}
+		if stop == nil {
+			active = g.endGenerations(bg, active)
+			if parked != nil && !parked.predict {
+				parked.finish("shutdown", "")
+				parked = nil
 			}
 		}
 		if cur := g.rep.Dep(); cur != dep {
@@ -216,10 +260,11 @@ func (g *genScheduler) loop() {
 		for parked == nil && bg.Free() > 0 {
 			select {
 			case job := <-g.queue:
+				if stop == nil && !job.predict {
+					job.finish("shutdown", "")
+					continue
+				}
 				active, parked = g.admit(bg, active, job)
-			case <-g.stop:
-				g.shutdown(active, parked)
-				return
 			default:
 				break fill
 			}
@@ -228,23 +273,28 @@ func (g *genScheduler) loop() {
 	}
 }
 
-// shutdown retires every in-flight, parked, and queued job with a
-// "shutdown" final.
-func (g *genScheduler) shutdown(active []*genSeq, parked *genJob) {
+// endGenerations retires every in-flight generate with a "shutdown" final,
+// keeping the predicts.
+func (g *genScheduler) endGenerations(bg *nn.BatchGenerator, active []*genSeq) []*genSeq {
+	out := active[:0]
 	for _, seq := range active {
+		if seq.job.predict {
+			out = append(out, seq)
+			continue
+		}
+		bg.Release(seq.slot)
 		seq.job.finish("shutdown", "")
 	}
-	if parked != nil {
-		parked.finish("shutdown", "")
+	return out
+}
+
+// cancel retires a job whose context is done. A predict's handler answers
+// 504 and counts it itself.
+func (g *genScheduler) cancel(job *genJob) {
+	if !job.predict {
+		g.srv.genCanceled.Add(1)
 	}
-	for {
-		select {
-		case job := <-g.queue:
-			job.finish("shutdown", "")
-		default:
-			return
-		}
-	}
+	job.finish("canceled", "")
 }
 
 // admit claims a KV slot and reserves the request's full page budget
@@ -258,8 +308,7 @@ func (g *genScheduler) shutdown(active []*genSeq, parked *genJob) {
 // immediately instead of parking forever.
 func (g *genScheduler) admit(bg *nn.BatchGenerator, active []*genSeq, job *genJob) ([]*genSeq, *genJob) {
 	if job.ctx.Err() != nil {
-		g.srv.genCanceled.Add(1)
-		job.finish("canceled", "")
+		g.cancel(job)
 		return active, nil
 	}
 	// Emitting m tokens appends only m-1 of them after the prompt.
@@ -280,27 +329,26 @@ func (g *genScheduler) admit(bg *nn.BatchGenerator, active []*genSeq, job *genJo
 }
 
 // step advances the batch one mixed pass: every decode-phase sequence
-// contributes its one-token row, and mid-prefill sequences contribute
-// prompt chunks until the per-step prefill token budget
-// (Config.PrefillChunk) is spent — one batched pass over the analog tiles
-// serves them all. The budget is allocated shortest-remaining-first: a
-// 16-token prompt finishes its prefill (and starts streaming) in its first
-// ride even when a 512-token prompt is mid-prefill ahead of it, while the
-// long prompt concedes at most the short prompts' tokens per step — that
-// bounded concession is the short-prompt TTFT win. Afterwards decode rows
-// and prompt-completing rows sample their next token (the latter closes
-// the request's TTFT); mid-prompt rows return no usable logits and just
-// advance their pending cursor. Canceled sequences — mid-prefill or not —
-// are retired before the pass, releasing every reserved KV page
-// immediately. The step's analog reads are counted on dep, the deployment
-// whose runner bg decodes on.
+// contributes its one-token row, every admitted predict its whole context,
+// and mid-prefill generations contribute prompt chunks until the per-step
+// prefill token budget (Config.PrefillChunk) is spent — one batched pass
+// over the analog tiles serves them all. The budget is allocated
+// shortest-remaining-first: a 16-token prompt finishes its prefill (and
+// starts streaming) in its first ride even when a 512-token prompt is
+// mid-prefill ahead of it, while the long prompt concedes at most the short
+// prompts' tokens per step — that bounded concession is the short-prompt
+// TTFT win. Afterwards decode rows and prompt-completing rows sample their
+// next token (the latter closes the request's TTFT); mid-prompt rows return
+// no usable logits and just advance their pending cursor. Canceled
+// sequences — mid-prefill or not — are retired before the pass, releasing
+// every reserved KV page immediately. The step's analog reads are counted
+// on dep, the deployment whose runner bg decodes on.
 func (g *genScheduler) step(dep *engine.Deployment, bg *nn.BatchGenerator, active []*genSeq) []*genSeq {
 	live := active[:0]
 	for _, seq := range active {
 		if seq.job.ctx.Err() != nil {
 			bg.Release(seq.slot)
-			g.srv.genCanceled.Add(1)
-			seq.job.finish("canceled", "")
+			g.cancel(seq.job)
 			continue
 		}
 		live = append(live, seq)
@@ -309,19 +357,26 @@ func (g *genScheduler) step(dep *engine.Deployment, bg *nn.BatchGenerator, activ
 		return live
 	}
 	// Allocate the prefill budget shortest-remaining-first (stable, so ties
-	// keep admission order): alloc[i] is live[i]'s chunk for this step.
+	// keep admission order): alloc[i] is live[i]'s chunk for this step. A
+	// predict's whole context rides outside the budget: it is answered from
+	// its last prompt row, so chunking it would only delay it and shrink the
+	// steps that concurrent predicts share.
+	alloc := make([]int, len(live))
+	prefillTokens := 0
 	var prefilling []int
 	for i, seq := range live {
-		if len(seq.pending) > 0 {
+		switch {
+		case seq.job.predict:
+			alloc[i] = len(seq.pending)
+			prefillTokens += alloc[i]
+		case len(seq.pending) > 0:
 			prefilling = append(prefilling, i)
 		}
 	}
 	sort.SliceStable(prefilling, func(a, b int) bool {
 		return len(live[prefilling[a]].pending) < len(live[prefilling[b]].pending)
 	})
-	alloc := make([]int, len(live))
 	budget := g.srv.cfg.PrefillChunk
-	prefillTokens := 0
 	for _, i := range prefilling {
 		if budget <= 0 {
 			break
@@ -354,6 +409,11 @@ func (g *genScheduler) step(dep *engine.Deployment, bg *nn.BatchGenerator, activ
 	}
 	reads0 := dep.OpCounters().MVMs
 	start := time.Now()
+	for _, seq := range rows {
+		if seq.job.firstStep.IsZero() {
+			seq.job.firstStep = start
+		}
+	}
 	logits, err := bg.StepSegs(segs)
 	elapsed := time.Since(start)
 	if err != nil {
@@ -365,6 +425,7 @@ func (g *genScheduler) step(dep *engine.Deployment, bg *nn.BatchGenerator, activ
 	}
 	dep.RecordGenStep(decodeRows, prefillTokens, elapsed, dep.OpCounters().MVMs-reads0)
 	g.srv.stepHist.observe(elapsed, false)
+	g.srv.stepSeqs.Add(int64(len(segs)))
 	for {
 		old := g.srv.genMaxBatch.Load()
 		if int64(len(segs)) <= old || g.srv.genMaxBatch.CompareAndSwap(old, int64(len(segs))) {
@@ -385,10 +446,12 @@ func (g *genScheduler) step(dep *engine.Deployment, bg *nn.BatchGenerator, activ
 				if len(seq.pending) == 0 {
 					// The chunk that finished the prompt: its row holds the
 					// prompt's last-token logits — sample the first token.
-					g.srv.genPrefills.Add(1)
-					g.srv.ttftHist.observe(time.Since(seq.job.enqueued), false)
+					if !seq.job.predict {
+						g.srv.genPrefills.Add(1)
+						g.srv.ttftHist.observe(time.Since(seq.job.enqueued), false)
+					}
 					tok := nn.SampleToken(logits.Row(row-1), seq.job.temperature, seq.job.topK, seq.job.sampler)
-					out = g.emit(bg, out, seq, tok)
+					out = g.emit(bg, out, seq, tok, len(segs))
 					continue
 				}
 			}
@@ -397,18 +460,22 @@ func (g *genScheduler) step(dep *engine.Deployment, bg *nn.BatchGenerator, activ
 		}
 		tok := nn.SampleToken(logits.Row(row), seq.job.temperature, seq.job.topK, seq.job.sampler)
 		row++
-		out = g.emit(bg, out, seq, tok)
+		out = g.emit(bg, out, seq, tok, len(segs))
 	}
 	return out
 }
 
-// emit delivers one sampled token to the sequence's stream and either keeps
-// the sequence in flight (recording the token as its pending input) or
-// retires it, freeing the KV slot and pages for the next admission.
-func (g *genScheduler) emit(bg *nn.BatchGenerator, active []*genSeq, seq *genSeq, tok int) []*genSeq {
+// emit delivers one sampled token, from a step of seqs sequences, to the
+// sequence's stream and either keeps the sequence in flight (recording the
+// token as its pending input) or retires it, freeing the KV slot and pages
+// for the next admission. A predict retires with its one token.
+func (g *genScheduler) emit(bg *nn.BatchGenerator, active []*genSeq, seq *genSeq, tok, seqs int) []*genSeq {
+	seq.job.batchSize = seqs
 	seq.job.events <- generateEvent{Token: tok, Index: seq.emitted}
 	seq.emitted++
-	g.srv.genTokens.Add(1)
+	if !seq.job.predict {
+		g.srv.genTokens.Add(1)
+	}
 	switch {
 	case seq.job.stop[tok]:
 		bg.Release(seq.slot)
@@ -423,20 +490,20 @@ func (g *genScheduler) emit(bg *nn.BatchGenerator, active []*genSeq, seq *genSeq
 	return active
 }
 
-// genScope labels a generate request's stochastic draws by its prompt, so
-// the decode is independent of batch composition and scheduling. Requests
-// sharing a prompt share a scope — and therefore, by design, identical
-// per-position noise (sampling still differs by seed).
-func genScope(tokens []int) string {
+// contentScope labels a request's stochastic draws by its tokens: prefix
+// followed by the FNV-64a hash of the tokens as little-endian 64-bit
+// words, so the answer is independent of batch composition and scheduling.
+// Predicts use "serve/predict/" and generates "serve/gen/". Requests
+// sharing tokens and prefix share a scope — and therefore, by design,
+// identical per-position noise (sampling still differs by seed).
+func contentScope(prefix string, tokens []int) string {
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, tok := range tokens {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(uint64(tok) >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(buf[:], uint64(tok))
 		h.Write(buf[:])
 	}
-	return fmt.Sprintf("serve/gen/%016x", h.Sum64())
+	return fmt.Sprintf("%s%016x", prefix, h.Sum64())
 }
 
 // DefaultMaxNewTokens bounds generation when the client omits max_tokens.
@@ -520,7 +587,7 @@ func (s *Server) generate(w http.ResponseWriter, r *http.Request, start time.Tim
 		temperature: req.Temperature,
 		topK:        req.TopK,
 		stop:        stop,
-		scope:       genScope(req.Prompt),
+		scope:       contentScope("serve/gen/", req.Prompt),
 		sampler:     rng.New(req.Seed),
 		enqueued:    start,
 		events:      make(chan generateEvent, maxTokens+1),

@@ -357,7 +357,7 @@ func mkGenJob(ctx context.Context, prompt []int, maxTokens int) *genJob {
 		ctx:       ctx,
 		prompt:    prompt,
 		maxTokens: maxTokens,
-		scope:     genScope(prompt),
+		scope:     contentScope("serve/gen/", prompt),
 		sampler:   rng.New(1),
 		enqueued:  time.Now(),
 		events:    make(chan generateEvent, maxTokens+1),
@@ -496,14 +496,8 @@ func TestGenerateAdmissionParksOnPageExhaustion(t *testing.T) {
 func TestGenerateAdmissionFullCleanReject(t *testing.T) {
 	s := testServer(t, Config{MaxDecodeBatch: 1, QueueDepth: 1, KVPages: 1})
 	defer s.Close()
-	wl := s.workloads["tiny"]
-	rep := testReplica(t, s, wl, core.DeployAnalogNaive)
-	g := &genScheduler{srv: s, wl: wl, mode: core.DeployAnalogNaive, rep: rep,
-		queue: make(chan *genJob, s.cfg.QueueDepth), stop: make(chan struct{})}
+	g := idleScheduler(t, s, core.DeployAnalogNaive)
 	g.queue <- mkGenJob(context.Background(), []int{1}, 1) // queue at capacity
-	s.mu.Lock()
-	s.genScheds[fmt.Sprintf("%s/%s#%d", wl.Spec.Key, core.DeployAnalogNaive, rep.Index)] = g
-	s.mu.Unlock()
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/generate",
 		strings.NewReader(`{"model":"tiny","mode":"naive","prompt":[1,2,3],"max_tokens":4}`))

@@ -1,17 +1,17 @@
 // Package serve is the online inference layer over the experiment engine:
 // a stdlib-only HTTP service that turns the repo's offline deploy→eval
-// machinery into a request/response system with dynamic micro-batching,
+// machinery into a request/response system with continuous batching,
 // bounded admission, per-request deadlines, and live observability.
 //
 // Endpoints:
 //
-//	POST /v1/predict  — last-word prediction for one context, micro-batched
+//	POST /v1/predict  — last-word prediction for one context
 //	POST /v1/generate — streaming autoregressive generation (NDJSON token
-//	                    events), continuous-batched across requests
+//	                    events)
 //	POST /v1/eval     — batch accuracy over a sequence set (engine-memoized)
 //	GET  /healthz     — liveness + preloaded model list
-//	GET  /statz       — engine stats, cache hit rates, fault stats, batcher
-//	                    + generation counters, latency histograms, per-chip
+//	GET  /statz       — engine stats, cache hit rates, fault stats,
+//	                    scheduler counters, latency histograms, per-chip
 //	                    fleet state
 //	GET  /v1/chips    — fleet chip states (admin)
 //	POST /v1/chips    — chip lifecycle actions: drain, fail, restore,
@@ -26,29 +26,26 @@
 // The zero fleet.Config is one implicit chip — bit-identical to the
 // pre-fleet single-deployment server.
 //
-// Generation (generate.go) uses vLLM-style continuous batching with
-// chunked prefill over a paged KV cache: one scheduler goroutine per
-// (model, mode) drives an nn.BatchGenerator, admitting queued prompts
-// whenever their KV page budget fits — at step boundaries, never mid-step —
-// and retiring finished sequences without flushing the rest of the batch.
-// Every step runs one batched pass over the analog tiles carrying all live
-// decode rows plus up to Config.PrefillChunk tokens of pending prompts, so
-// long prompts prefill incrementally instead of stalling every running
-// sequence (short-prompt TTFT stays flat under mixed-length load).
+// Predict and generate share one scheduler per replica (generate.go):
+// vLLM-style continuous batching with chunked prefill over a paged KV
+// cache. One goroutine drives an nn.BatchGenerator, admitting queued
+// requests from one FIFO queue whenever their KV page budget fits — at
+// step boundaries, never mid-step — and retiring finished sequences without
+// flushing the rest of the batch. Every step runs one batched pass over the
+// analog tiles, split across the machine's cores by sequence, carrying all
+// live decode rows, every admitted predict's context and up to
+// Config.PrefillChunk tokens of pending generate prompts, so long prompts
+// prefill incrementally instead of stalling every running sequence
+// (short-prompt TTFT stays flat under mixed-length load). A predict is a
+// prompt-only sequence: its context prefills, its answer is the argmax of
+// the last logits, and its slot frees in the step that answers it. No
+// request waits for company.
 //
-// The core is the dynamic micro-batcher (batcher.go): concurrent predict
-// requests that target the same (model, mode, config) deployment coalesce
-// into one batch, flushed when it reaches Config.MaxBatch or when
-// Config.MaxDelay elapses after the first request. Each batch fans out
-// across the engine's eval workers, and every sequence forward rides the
-// zero-allocation MVMBatchInto read path, so server throughput inherits
-// the batched analog kernels.
-//
-// Determinism: a predict response is a pure function of (deployment,
-// context tokens) — each request's stochastic read noise is scoped by a
-// hash of its own tokens, never by its position in a batch — so batching,
+// Determinism: a reply is a pure function of (deployment, request tokens)
+// — each request's stochastic read noise is scoped by a hash of its own
+// tokens, never by its position in a batch — so batching, chunking,
 // concurrency, cancellations, and retries cannot change any answer.
-// Cancelled or deadline-exceeded requests are dropped between sequences
+// Cancelled or deadline-exceeded evals are dropped between sequences
 // (engine.Deployment.EvalCtx's contract) and never advance the engine's
 // completed-work counters or poison its memo.
 package serve
@@ -58,7 +55,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sort"
 	"strings"
@@ -76,35 +72,31 @@ import (
 // Config tunes the server. The zero value selects the defaults noted on
 // each field.
 type Config struct {
-	// MaxBatch caps one micro-batch; a batch flushes as soon as it holds
-	// this many requests. <= 0 selects DefaultMaxBatch.
-	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch waits for
-	// company before the batch flushes anyway. <= 0 selects
-	// DefaultMaxDelay.
-	MaxDelay time.Duration
-	// QueueDepth bounds each deployment's admission queue; requests
-	// arriving beyond it are rejected with 429 + Retry-After instead of
-	// piling up unbounded. <= 0 selects DefaultQueueDepth.
+	// QueueDepth bounds each replica's admission queue, which predicts and
+	// generates share; requests arriving beyond it are rejected with 429 +
+	// Retry-After instead of piling up unbounded. <= 0 selects
+	// DefaultQueueDepth.
 	QueueDepth int
 	// RequestTimeout is the server-side deadline applied to every request
 	// (clients may shorten it per request via "timeout_ms", never extend
 	// it). <= 0 selects DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// MaxDecodeBatch caps the continuous-batching decode batch: the number
-	// of /v1/generate sequences one scheduler advances per decode step (and
-	// the number of preallocated KV-cache slots per (model, mode)). <= 0
-	// selects DefaultMaxDecodeBatch.
+	// MaxDecodeBatch caps the continuous batch: the number of sequences
+	// (predicts and generates) one scheduler advances per step, and the
+	// number of preallocated KV-cache slots per replica. <= 0 selects
+	// DefaultMaxDecodeBatch.
 	MaxDecodeBatch int
-	// PrefillChunk bounds the prompt tokens one mixed decode step consumes
-	// across all mid-prefill sequences: long prompts are fed through the
-	// model in chunks of at most this many tokens, riding along with the
-	// live decode rows, so a 512-token prompt never stalls every other
-	// sequence's next token for a monolithic prefill. Smaller chunks mean
-	// lower inter-token latency for running sequences and later first
-	// tokens for long prompts. Chunking never changes any answer — each
-	// sequence's noise streams depend only on its own scope and token
-	// order. <= 0 selects DefaultPrefillChunk.
+	// PrefillChunk bounds the generate-prompt tokens one mixed step
+	// consumes across all mid-prefill sequences: long prompts are fed
+	// through the model in chunks of at most this many tokens, riding along
+	// with the live decode rows, so a 512-token prompt never stalls every
+	// other sequence's next token for a monolithic prefill. Smaller chunks
+	// mean lower inter-token latency for running sequences and later first
+	// tokens for long prompts. A predict's context (at most MaxSeq tokens)
+	// is not chunked: it rides whole in the step after its admission.
+	// Chunking never changes any answer — each sequence's noise streams
+	// depend only on its own scope and token order. <= 0 selects
+	// DefaultPrefillChunk.
 	PrefillChunk int
 	// KVPages sizes each scheduler's paged KV pool (pages of
 	// nn.DefaultKVPageTokens positions each). Admission reserves
@@ -124,8 +116,6 @@ type Config struct {
 
 // Default serving knobs.
 const (
-	DefaultMaxBatch       = 16
-	DefaultMaxDelay       = 2 * time.Millisecond
 	DefaultQueueDepth     = 256
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultMaxDecodeBatch = 16
@@ -133,12 +123,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = DefaultMaxDelay
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = DefaultQueueDepth
 	}
@@ -161,7 +145,7 @@ func (c Config) withDefaults() Config {
 
 // Server is the HTTP inference service. It implements http.Handler; wire
 // it into an http.Server (or httptest) for transport. Close drains the
-// micro-batchers; call it after the HTTP listener has stopped accepting.
+// schedulers; call it after the HTTP listener has stopped accepting.
 type Server struct {
 	eng   *engine.Engine
 	cfg   Config
@@ -172,20 +156,18 @@ type Server struct {
 	// workloads is immutable after New.
 	workloads map[string]*harness.Workload
 
-	mu        sync.RWMutex // guards batchers, genScheds, groups, closed
+	mu        sync.RWMutex // guards genScheds, groups, closed
 	closed    bool
-	batchers  map[string]*batcher
 	genScheds map[string]*genScheduler
 	groups    map[string]*fleet.Group // keyed "<model>/<mode>"
 
-	predictHist histogram
-	evalHist    histogram
-	batches     atomic.Int64 // micro-batches flushed
-	batched     atomic.Int64 // predict requests carried by those batches
-	maxBatch    atomic.Int64 // largest batch flushed so far
-	queueFull   atomic.Int64 // predicts rejected with 429
-	canceled    atomic.Int64 // predicts dropped on a done context
+	predictHist      histogram
+	evalHist         histogram
+	predictRequests  atomic.Int64 // predicts admitted to a scheduler
+	predictQueueFull atomic.Int64 // predicts rejected with 429
+	predictCanceled  atomic.Int64 // predicts answered 504 on a done context
 
+	stepSeqs     atomic.Int64 // sequences carried by all scheduler steps
 	generateHist histogram    // whole-request /v1/generate latency
 	ttftHist     histogram    // enqueue → first token, per generate request
 	stepHist     histogram    // batched decode step latency
@@ -194,7 +176,7 @@ type Server struct {
 	genPrefills  atomic.Int64 // prompts prefilled (≈ sequences started)
 	genQueueFull atomic.Int64 // generates rejected with 429
 	genCanceled  atomic.Int64 // sequences retired on a done context
-	genMaxBatch  atomic.Int64 // largest decode batch stepped so far
+	genMaxBatch  atomic.Int64 // most sequences one step carried so far
 
 	wg sync.WaitGroup
 }
@@ -207,7 +189,6 @@ func New(eng *engine.Engine, cfg Config, workloads []*harness.Workload) *Server 
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		workloads: make(map[string]*harness.Workload, len(workloads)),
-		batchers:  make(map[string]*batcher),
 		genScheds: make(map[string]*genScheduler),
 		groups:    make(map[string]*fleet.Group),
 	}
@@ -227,13 +208,12 @@ func New(eng *engine.Engine, cfg Config, workloads []*harness.Workload) *Server 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the micro-batchers after draining every admitted request,
-// and stops the generation schedulers: queued and in-flight generations
-// retire immediately with a "shutdown" final event (a decode can be
-// arbitrarily long, so generation is cut short rather than drained). New
-// requests racing with Close are rejected with 503; predict requests
-// already queued are processed to completion before Close returns. Call
-// after the HTTP listener has shut down; Close is idempotent.
+// Close stops the schedulers. Queued and in-flight generations retire
+// immediately with a "shutdown" final event (a decode can be arbitrarily
+// long, so generation is cut short rather than drained), while every
+// admitted predict is still answered, which takes a step or a few. New
+// requests racing with Close are rejected with 503. Call after the HTTP
+// listener has shut down; Close is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -241,18 +221,11 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	batchers := make([]*batcher, 0, len(s.batchers))
-	for _, b := range s.batchers {
-		batchers = append(batchers, b)
-	}
 	scheds := make([]*genScheduler, 0, len(s.genScheds))
 	for _, g := range s.genScheds {
 		scheds = append(scheds, g)
 	}
 	s.mu.Unlock()
-	for _, b := range batchers {
-		close(b.stop)
-	}
 	for _, g := range scheds {
 		close(g.stop)
 	}
@@ -350,7 +323,9 @@ type predictRequest struct {
 	TimeoutMS int    `json:"timeout_ms"`
 }
 
-// predictResponse is the /v1/predict reply.
+// predictResponse is the /v1/predict reply. BatchSize is the number of
+// sequences in the scheduler step that answered it, and QueueMS the time
+// from admission to the start of its first step.
 type predictResponse struct {
 	Model     string  `json:"model"`
 	Mode      string  `json:"mode"`
@@ -376,20 +351,6 @@ func validateContext(w *harness.Workload, tokens []int) error {
 	return nil
 }
 
-// noiseScope labels a predict request's stochastic draws by its content, so
-// the answer is independent of batch composition and scheduling.
-func noiseScope(tokens []int) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, tok := range tokens {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(uint64(tok) >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("serve/predict/%016x", h.Sum64())
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	code, resp := s.predict(r, start)
@@ -400,7 +361,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, resp)
 }
 
-// predict runs the decode→admit→batch→reply pipeline, returning the status
+// predict runs the decode→admit→step→reply pipeline, returning the status
 // code and JSON body (errorBody or predictResponse).
 func (s *Server) predict(r *http.Request, start time.Time) (int, any) {
 	if r.Method != http.MethodPost {
@@ -436,40 +397,38 @@ func (s *Server) predict(r *http.Request, start time.Time) (int, any) {
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-
-	job := &predictJob{
-		ctx:      ctx,
-		tokens:   req.Context,
-		scope:    noiseScope(req.Context),
-		enqueued: start,
-		done:     make(chan predictOutcome, 1),
-	}
-	b, err := s.batcherFor(wl, mode, rep)
+	job := newPredictJob(ctx, req.Context, start)
+	sched, err := s.genSchedulerFor(wl, mode, rep)
 	if err != nil {
 		return http.StatusServiceUnavailable, errorBody{Error: err.Error()}
 	}
-	if !b.enqueue(job) {
-		s.queueFull.Add(1)
+	if !sched.enqueue(job) {
+		s.predictQueueFull.Add(1)
 		return http.StatusTooManyRequests, errorBody{Error: "admission queue full, retry shortly"}
 	}
+	s.predictRequests.Add(1)
 	select {
-	case out := <-job.done:
-		if out.err != nil {
-			s.canceled.Add(1)
-			return http.StatusGatewayTimeout, errorBody{Error: "request canceled: " + out.err.Error()}
-		}
-		return http.StatusOK, predictResponse{
-			Model:     req.Model,
-			Mode:      mode.String(),
-			Token:     out.token,
-			BatchSize: out.batch,
-			QueueMS:   float64(out.wait) / 1e6,
-			TotalMS:   float64(time.Since(start)) / 1e6,
+	case ev := <-job.events:
+		switch {
+		case !ev.Done:
+			return http.StatusOK, predictResponse{
+				Model:     req.Model,
+				Mode:      mode.String(),
+				Token:     ev.Token,
+				BatchSize: job.batchSize,
+				QueueMS:   float64(job.firstStep.Sub(start)) / 1e6,
+				TotalMS:   float64(time.Since(start)) / 1e6,
+			}
+		case ev.FinishReason == "canceled":
+			s.predictCanceled.Add(1)
+			return http.StatusGatewayTimeout, errorBody{Error: "request canceled: " + ctx.Err().Error()}
+		default:
+			return http.StatusInternalServerError, errorBody{Error: ev.Error}
 		}
 	case <-ctx.Done():
-		// The batcher will observe the done context and drop the job; its
-		// buffered reply (if any) is garbage-collected with the job.
-		s.canceled.Add(1)
+		// The scheduler will observe the done context and retire the job;
+		// its buffered events are garbage-collected with it.
+		s.predictCanceled.Add(1)
 		return http.StatusGatewayTimeout, errorBody{Error: "request canceled: " + ctx.Err().Error()}
 	}
 }
@@ -586,34 +545,32 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// BatchStatz is the micro-batcher section of /statz.
-type BatchStatz struct {
-	Batches   int64   `json:"batches"`
-	Requests  int64   `json:"requests"`
-	MeanBatch float64 `json:"mean_batch"`
-	MaxBatch  int64   `json:"max_batch"`
-	QueueFull int64   `json:"queue_full"`
-	Canceled  int64   `json:"canceled"`
-
-	MaxBatchLimit int64   `json:"max_batch_limit"`
-	MaxDelayMS    float64 `json:"max_delay_ms"`
-	QueueDepth    int64   `json:"queue_depth"`
-}
-
-// GenStatz is the continuous-batching generation section of /statz. The
-// engine section holds the matching decode-step aggregates (GenSteps,
-// GenTokens, GenTime, GenReads — per-step analog reads and occupancy).
-type GenStatz struct {
+// PredictStatz counts /v1/predict requests inside the scheduler section.
+type PredictStatz struct {
 	Requests  int64 `json:"requests"`
-	Tokens    int64 `json:"tokens"`
-	Prefills  int64 `json:"prefills"`
 	QueueFull int64 `json:"queue_full"`
 	Canceled  int64 `json:"canceled"`
-	// Steps/MeanBatch/TokensPerSecond mirror the engine's decode-step
-	// counters for convenience; MaxBatch is the largest number of rows
-	// (decode + prefill chunks) one mixed step carried.
+}
+
+// GenStatz is the scheduler section of /statz: the continuous-batching
+// schedulers that serve both predict and generate. Requests through
+// Canceled count /v1/generate, Predict counts /v1/predict. The engine
+// section holds the matching step aggregates (GenSteps, GenTokens,
+// GenTime, GenReads — per-step analog reads and occupancy).
+type GenStatz struct {
+	Requests  int64        `json:"requests"`
+	Tokens    int64        `json:"tokens"`
+	Prefills  int64        `json:"prefills"`
+	QueueFull int64        `json:"queue_full"`
+	Canceled  int64        `json:"canceled"`
+	Predict   PredictStatz `json:"predict"`
+	// Steps/MeanBatch/TokensPerSecond mirror the engine's step counters for
+	// convenience (MeanBatch counts decode rows per step); MeanSeqs and
+	// MaxBatch are the mean and largest number of sequences — predicts,
+	// decode rows and prefill chunks — one step carried.
 	Steps           int64   `json:"steps"`
 	MeanBatch       float64 `json:"mean_batch"`
+	MeanSeqs        float64 `json:"mean_seqs"`
 	MaxBatch        int64   `json:"max_batch"`
 	TokensPerSecond float64 `json:"tokens_per_second"`
 	// PrefillTokens counts prompt tokens consumed by chunked prefill;
@@ -622,6 +579,7 @@ type GenStatz struct {
 	PrefillTokensPerSecond float64 `json:"prefill_tokens_per_second"`
 	AnalogReads            int64   `json:"analog_reads"`
 
+	QueueDepth     int64 `json:"queue_depth"`
 	MaxDecodeBatch int64 `json:"max_decode_batch"`
 	// PrefillChunk is the per-step prompt-token budget; KVPages the
 	// configured page-pool size (0 = slab-equivalent auto-sizing).
@@ -660,7 +618,6 @@ type Statz struct {
 	// cache; EvalMemoHitRate the same for the per-deployment eval memo.
 	DeployCacheHitRate float64           `json:"deploy_cache_hit_rate"`
 	EvalMemoHitRate    float64           `json:"eval_memo_hit_rate"`
-	Batch              BatchStatz        `json:"batch"`
 	Gen                GenStatz          `json:"gen"`
 	Fleet              FleetStatz        `json:"fleet"`
 	Faults             analog.FaultStats `json:"faults"`
@@ -730,27 +687,17 @@ func (s *Server) StatzSnapshot() Statz {
 		}
 		return float64(hit) / float64(hit+miss)
 	}
-	batches := s.batches.Load()
-	batched := s.batched.Load()
-	bs := BatchStatz{
-		Batches:       batches,
-		Requests:      batched,
-		MaxBatch:      s.maxBatch.Load(),
-		QueueFull:     s.queueFull.Load(),
-		Canceled:      s.canceled.Load(),
-		MaxBatchLimit: int64(s.cfg.MaxBatch),
-		MaxDelayMS:    float64(s.cfg.MaxDelay) / 1e6,
-		QueueDepth:    int64(s.cfg.QueueDepth),
-	}
-	if batches > 0 {
-		bs.MeanBatch = float64(batched) / float64(batches)
-	}
 	gs := GenStatz{
-		Requests:        s.genRequests.Load(),
-		Tokens:          s.genTokens.Load(),
-		Prefills:        s.genPrefills.Load(),
-		QueueFull:       s.genQueueFull.Load(),
-		Canceled:        s.genCanceled.Load(),
+		Requests:  s.genRequests.Load(),
+		Tokens:    s.genTokens.Load(),
+		Prefills:  s.genPrefills.Load(),
+		QueueFull: s.genQueueFull.Load(),
+		Canceled:  s.genCanceled.Load(),
+		Predict: PredictStatz{
+			Requests:  s.predictRequests.Load(),
+			QueueFull: s.predictQueueFull.Load(),
+			Canceled:  s.predictCanceled.Load(),
+		},
 		Steps:           es.GenSteps,
 		MeanBatch:       es.GenMeanBatch(),
 		MaxBatch:        s.genMaxBatch.Load(),
@@ -759,11 +706,15 @@ func (s *Server) StatzSnapshot() Statz {
 		PrefillTokens:          es.GenPrefillTokens,
 		PrefillTokensPerSecond: es.GenPrefillTokensPerSecond(),
 		AnalogReads:            es.GenReads,
+		QueueDepth:             int64(s.cfg.QueueDepth),
 		MaxDecodeBatch:         int64(s.cfg.MaxDecodeBatch),
 		PrefillChunk:           int64(s.cfg.PrefillChunk),
 		KVPages:                int64(s.cfg.KVPages),
 		TTFT:                   s.ttftHist.stats(),
 		Step:                   s.stepHist.stats(),
+	}
+	if es.GenSteps > 0 {
+		gs.MeanSeqs = float64(s.stepSeqs.Load()) / float64(es.GenSteps)
 	}
 	fls, depCost, faults := s.fleetSnapshot()
 	return Statz{
@@ -772,7 +723,6 @@ func (s *Server) StatzSnapshot() Statz {
 		Engine:             es,
 		DeployCacheHitRate: ratio(es.DeployHits, es.DeployBuilds),
 		EvalMemoHitRate:    ratio(es.EvalHits, es.Evals),
-		Batch:              bs,
 		Gen:                gs,
 		Fleet:              fls,
 		Faults:             faults,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -145,21 +146,63 @@ func TestPredictErrors(t *testing.T) {
 	}
 }
 
+// idleScheduler registers the scheduler of one mode of the tiny workload
+// without starting its loop, so a test can fill its queue first. Start it
+// with s.wg.Add(1) and go g.loop(); Close then waits for it like any other.
+func idleScheduler(t testing.TB, s *Server, mode core.DeployMode) *genScheduler {
+	t.Helper()
+	wl := s.workloads["tiny"]
+	rep := testReplica(t, s, wl, mode)
+	g := &genScheduler{srv: s, wl: wl, mode: mode, rep: rep,
+		queue: make(chan *genJob, s.cfg.QueueDepth), stop: make(chan struct{})}
+	s.mu.Lock()
+	s.genScheds[fmt.Sprintf("%s/%s#%d", wl.Spec.Key, mode, rep.Index)] = g
+	s.mu.Unlock()
+	return g
+}
+
+// scopedPredict is what a served predict must answer: the replica's runner
+// read under the request's content scope, alone.
+func scopedPredict(t testing.TB, s *Server, mode core.DeployMode, ctx []int) int {
+	t.Helper()
+	rep := testReplica(t, s, s.workloads["tiny"], mode)
+	return rep.Runner().WithNoiseScope(contentScope("serve/predict/", ctx)).PredictLast(ctx)
+}
+
+// predictAll sends one predict per context concurrently and returns the
+// status codes and bodies in context order.
+func predictAll(t testing.TB, s *Server, mode string, ctxs [][]int) ([]int, []map[string]any) {
+	codes := make([]int, len(ctxs))
+	bodies := make([]map[string]any, len(ctxs))
+	var wg sync.WaitGroup
+	for i, ctx := range ctxs {
+		wg.Add(1)
+		go func(i int, ctx []int) {
+			defer wg.Done()
+			body, _ := json.Marshal(map[string]any{"model": "tiny", "mode": mode, "context": ctx})
+			codes[i], bodies[i], _ = do(t, s, http.MethodPost, "/v1/predict", string(body))
+		}(i, ctx)
+	}
+	wg.Wait()
+	return codes, bodies
+}
+
+// waitQueued blocks until the scheduler's queue holds n jobs.
+func waitQueued(g *genScheduler, n int) {
+	for len(g.queue) < n {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestPredictQueueFull pins the bounded-admission contract: a full queue
-// answers 429 with a Retry-After hint instead of queueing unbounded.
+// answers 429 with a Retry-After hint instead of queueing unbounded, and
+// predicts and generates share the replica's one queue.
 func TestPredictQueueFull(t *testing.T) {
 	s := testServer(t, Config{QueueDepth: 2})
-	wl := s.workloads["tiny"]
-	b, err := s.batcherFor(wl, core.DeployDigital, testReplica(t, s, wl, core.DeployDigital))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Retire the batcher goroutine so the queue stops draining, then fill
-	// the queue to capacity with parked jobs.
-	close(b.stop)
-	s.wg.Wait()
+	defer s.Close()
+	g := idleScheduler(t, s, core.DeployDigital)
 	for i := 0; i < 2; i++ {
-		b.queue <- &predictJob{ctx: context.Background(), done: make(chan predictOutcome, 1)}
+		g.queue <- newPredictJob(context.Background(), []int{1}, time.Now())
 	}
 	code, body, hdr := do(t, s, http.MethodPost, "/v1/predict",
 		`{"model":"tiny","mode":"digital","context":[1,2,3]}`)
@@ -169,66 +212,199 @@ func TestPredictQueueFull(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if s.StatzSnapshot().Batch.QueueFull != 1 {
-		t.Fatalf("queue_full counter: %+v", s.StatzSnapshot().Batch)
+	code, _, body = doGenerate(t, s, `{"model":"tiny","mode":"digital","prompt":[1,2],"max_tokens":2}`)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("generate behind full predict queue: %d %v, want 429", code, body)
+	}
+	st := s.StatzSnapshot().Gen
+	if st.Predict.QueueFull != 1 || st.Predict.Requests != 0 || st.QueueFull != 1 {
+		t.Fatalf("queue_full counters: %+v", st)
 	}
 }
 
-// TestMicroBatchCoalescing: concurrent requests for one deployment must
-// ride one multi-request batch (the dynamic micro-batcher's whole point),
-// visible both in each response's batch_size and in /statz.
-func TestMicroBatchCoalescing(t *testing.T) {
-	// A generous delay window so every concurrent request joins the first
-	// one's batch regardless of scheduling jitter.
-	s := testServer(t, Config{MaxBatch: 8, MaxDelay: 500 * time.Millisecond})
+// TestQueuedPredictsShareStep: predicts queued while the scheduler is busy
+// ride its next step together, whole, whatever the generate-prompt budget —
+// visible in each reply's batch_size and in /statz — and each still
+// answers its scoped single-request bytes.
+func TestQueuedPredictsShareStep(t *testing.T) {
+	s := testServer(t, Config{PrefillChunk: 2})
 	defer s.Close()
-
-	// Warm the deployment so the batcher is past its deploy step.
-	if code, body, _ := do(t, s, http.MethodPost, "/v1/predict",
-		`{"model":"tiny","mode":"naive","context":[5,6,7]}`); code != http.StatusOK {
-		t.Fatalf("warmup: %d %v", code, body)
-	}
-
-	const n = 8
-	var wg sync.WaitGroup
-	maxSeen := make([]float64, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"model":"tiny","mode":"naive","context":[%d,2,3]}`, i%16)
-			code, resp, _ := do(t, s, http.MethodPost, "/v1/predict", body)
-			if code != http.StatusOK {
-				t.Errorf("concurrent predict %d: %d %v", i, code, resp)
-				return
-			}
-			maxSeen[i], _ = resp["batch_size"].(float64)
-		}(i)
-	}
-	wg.Wait()
-
-	var sawMulti bool
-	for _, bs := range maxSeen {
-		if bs > 1 {
-			sawMulti = true
+	g := idleScheduler(t, s, core.DeployAnalogNaive)
+	ctxs := [][]int{{5, 6, 7}, {1, 2}, {9, 8, 7, 6}, {3}}
+	var codes []int
+	var bodies []map[string]any
+	done := make(chan struct{})
+	go func() {
+		codes, bodies = predictAll(t, s, "naive", ctxs)
+		close(done)
+	}()
+	waitQueued(g, len(ctxs))
+	s.wg.Add(1)
+	go g.loop()
+	<-done
+	for i, ctx := range ctxs {
+		if codes[i] != http.StatusOK {
+			t.Fatalf("predict %v: %d %v", ctx, codes[i], bodies[i])
+		}
+		if bs := bodies[i]["batch_size"].(float64); int(bs) != len(ctxs) {
+			t.Fatalf("predict %v rode a step of %v sequences, want %d", ctx, bs, len(ctxs))
+		}
+		if got, want := int(bodies[i]["token"].(float64)), scopedPredict(t, s, core.DeployAnalogNaive, ctx); got != want {
+			t.Fatalf("predict %v: token %d, want %d", ctx, got, want)
 		}
 	}
-	if !sawMulti {
-		t.Fatalf("no request rode a multi-request batch: batch sizes %v", maxSeen)
+	st := s.StatzSnapshot().Gen
+	if st.Predict.Requests != int64(len(ctxs)) || st.Steps != 1 || st.MeanSeqs != float64(len(ctxs)) || st.MaxBatch != int64(len(ctxs)) {
+		t.Fatalf("scheduler statz after one shared step: %+v", st)
 	}
-	stats := s.StatzSnapshot().Batch
-	if stats.MeanBatch <= 1 {
-		t.Fatalf("mean batch %.2f not > 1 (%+v)", stats.MeanBatch, stats)
+	if st.Requests != 0 || st.Tokens != 0 || st.Prefills != 0 {
+		t.Fatalf("predicts counted as generations: %+v", st)
 	}
-	if stats.MaxBatch < 2 {
-		t.Fatalf("max batch %d < 2 (%+v)", stats.MaxBatch, stats)
+}
+
+// TestPredictMatchesScopedPredictLast pins predict's bytes: under
+// concurrent load, whatever steps the requests share, chunk or split into,
+// every served token equals the replica's runner read alone under the
+// request's content scope — on digital, naive and NORA deployments.
+func TestPredictMatchesScopedPredictLast(t *testing.T) {
+	r := rng.New(22)
+	ctxs := make([][]int, 24)
+	for i := range ctxs {
+		ctx := make([]int, 1+int(r.Uint64()%16))
+		for j := range ctx {
+			ctx[j] = int(r.Uint64() % 40)
+		}
+		ctxs[i] = ctx
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // steps split on 1-CPU runners too
+	}
+	for _, mode := range []core.DeployMode{core.DeployDigital, core.DeployAnalogNaive, core.DeployAnalogNORA} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := testServer(t, Config{})
+			defer s.Close()
+			for lo := 0; lo < len(ctxs); lo += 12 {
+				codes, bodies := predictAll(t, s, mode.String(), ctxs[lo:lo+12])
+				for i, ctx := range ctxs[lo : lo+12] {
+					if codes[i] != http.StatusOK {
+						t.Fatalf("predict %v: %d %v", ctx, codes[i], bodies[i])
+					}
+					if got, want := int(bodies[i]["token"].(float64)), scopedPredict(t, s, mode, ctx); got != want {
+						t.Fatalf("predict %v: served %d, scoped PredictLast %d", ctx, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPredictWaitsForSlot: a predict that arrives while generations hold
+// every slot parks, emits nothing while they run, and is answered with its
+// scoped bytes in the first step after a slot frees.
+func TestPredictWaitsForSlot(t *testing.T) {
+	s := testServer(t, Config{})
+	defer s.Close()
+	wl := s.workloads["tiny"]
+	rep := testReplica(t, s, wl, core.DeployAnalogNaive)
+	g := &genScheduler{srv: s, wl: wl, mode: core.DeployAnalogNaive, rep: rep,
+		queue: make(chan *genJob, 4), stop: make(chan struct{})}
+	bg := nn.NewBatchGeneratorPaged(rep.Runner(), 1, 0, 0)
+
+	gen := mkGenJob(context.Background(), []int{1, 2, 3}, 4)
+	active, parked := g.admit(bg, nil, gen)
+	if parked != nil || len(active) != 1 {
+		t.Fatalf("generate admission: active=%d parked=%v", len(active), parked)
+	}
+	ctx := []int{9, 8, 7, 6}
+	pred := newPredictJob(context.Background(), ctx, time.Now())
+	if active, parked = g.admit(bg, active, pred); parked != pred {
+		t.Fatalf("predict admitted with every slot held: parked=%v", parked)
+	}
+	for len(active) > 0 {
+		active = g.step(rep.Dep(), bg, active)
+		if len(pred.events) != 0 {
+			t.Fatal("parked predict answered while the generation held its slot")
+		}
+	}
+	if ev := drainFinal(t, gen); ev.FinishReason != "length" {
+		t.Fatalf("generation final: %+v", ev)
+	}
+	if active, parked = g.admit(bg, nil, pred); parked != nil || len(active) != 1 {
+		t.Fatalf("predict retry after the slot freed: active=%d parked=%v", len(active), parked)
+	}
+	if active = g.step(rep.Dep(), bg, active); len(active) != 0 || bg.Free() != 1 {
+		t.Fatalf("answered predict still holds its slot: active=%d free=%d", len(active), bg.Free())
+	}
+	ev := <-pred.events
+	if want := scopedPredict(t, s, core.DeployAnalogNaive, ctx); ev.Done || ev.Token != want || pred.batchSize != 1 {
+		t.Fatalf("predict answer %+v (step of %d), want token %d", ev, pred.batchSize, want)
+	}
+}
+
+// TestPredictAnsweredAtClose: a drain never drops admitted work. Predicts
+// queued when Close begins are answered before it returns, while a queued
+// generation ends with a shutdown final.
+func TestPredictAnsweredAtClose(t *testing.T) {
+	s := testServer(t, Config{})
+	g := idleScheduler(t, s, core.DeployAnalogNaive)
+	gen := mkGenJob(context.Background(), []int{1, 2}, 4)
+	g.queue <- gen
+	ctxs := [][]int{{4, 4, 4}, {7, 1}, {2, 9, 5, 3, 8}}
+	var codes []int
+	var bodies []map[string]any
+	done := make(chan struct{})
+	go func() {
+		codes, bodies = predictAll(t, s, "naive", ctxs)
+		close(done)
+	}()
+	waitQueued(g, 1+len(ctxs))
+	s.wg.Add(1)
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	<-g.stop // Close has shut admission and signaled the scheduler
+	go g.loop()
+	<-closed
+	<-done
+	for i, ctx := range ctxs {
+		if codes[i] != http.StatusOK {
+			t.Fatalf("predict %v queued at Close: %d %v", ctx, codes[i], bodies[i])
+		}
+		if got, want := int(bodies[i]["token"].(float64)), scopedPredict(t, s, core.DeployAnalogNaive, ctx); got != want {
+			t.Fatalf("predict %v answered %d at Close, want %d", ctx, got, want)
+		}
+	}
+	if ev := drainFinal(t, gen); ev.FinishReason != "shutdown" {
+		t.Fatalf("queued generation at Close: %+v, want a shutdown final", ev)
+	}
+}
+
+// TestContentScopeLabels pins the scope labels of served requests: they
+// key every served noise stream, so a changed byte changes every analog
+// answer.
+func TestContentScopeLabels(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		tokens []int
+		want   string
+	}{
+		{"serve/predict/", []int{1, 2, 3, 4, 5}, "serve/predict/a73c4fcedb1fd5a4"},
+		{"serve/gen/", []int{1, 2, 3, 4, 5}, "serve/gen/a73c4fcedb1fd5a4"},
+		{"serve/predict/", []int{0, 39, 1 << 40, 7}, "serve/predict/41494919c2e6e64a"},
+		{"serve/gen/", []int{0, 39, 1 << 40, 7}, "serve/gen/41494919c2e6e64a"},
+	} {
+		if got := contentScope(tc.prefix, tc.tokens); got != tc.want {
+			t.Errorf("contentScope(%q, %v) = %q, want %q", tc.prefix, tc.tokens, got, tc.want)
+		}
 	}
 }
 
 // TestPredictBatchIndependence pins the serving determinism contract: the
 // answer for a context is identical whether the request ran alone or
-// coalesced into a batch with other requests (noise is scoped by request
-// content, not batch position).
+// shared steps with other requests (noise is scoped by request content,
+// not batch position).
 func TestPredictBatchIndependence(t *testing.T) {
 	alone := testServer(t, Config{})
 	probe := `{"model":"tiny","mode":"naive","context":[9,8,7,6]}`
@@ -238,7 +414,7 @@ func TestPredictBatchIndependence(t *testing.T) {
 	}
 	alone.Close()
 
-	crowd := testServer(t, Config{MaxBatch: 8, MaxDelay: 500 * time.Millisecond})
+	crowd := testServer(t, Config{})
 	defer crowd.Close()
 	if code, body, _ := do(t, crowd, http.MethodPost, "/v1/predict", probe); code != http.StatusOK {
 		t.Fatalf("warmup: %d %v", code, body)
@@ -336,9 +512,10 @@ func TestHealthzAndStatz(t *testing.T) {
 	if eng == nil {
 		t.Fatalf("statz missing engine stats: %v", body)
 	}
-	batch, _ := body["batch"].(map[string]any)
-	if batch["requests"].(float64) < 1 {
-		t.Fatalf("statz batch counters: %v", batch)
+	gen, _ := body["gen"].(map[string]any)
+	predict, _ := gen["predict"].(map[string]any)
+	if predict["requests"].(float64) < 1 || gen["steps"].(float64) < 1 || gen["queue_depth"].(float64) != DefaultQueueDepth {
+		t.Fatalf("statz scheduler counters: %v", gen)
 	}
 
 	// The naive-mode predict above ran on analog tiles, so the cost wiring
@@ -368,7 +545,7 @@ func TestHealthzAndStatz(t *testing.T) {
 // be answered (drained), late requests must see a clean 503, and Close
 // must return with no goroutine stuck.
 func TestGracefulShutdown(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	s := testServer(t, Config{})
 	ts := httptest.NewServer(s)
 
 	const clients = 8

@@ -2,9 +2,10 @@
 # serve_smoke.sh — end-to-end smoke of the HTTP inference service: start
 # nora-serve on a random port against the committed zoo, wait for /healthz,
 # issue a /v1/predict, check generation determinism (including a long and
-# a short prompt decoded concurrently under chunked prefill), check /statz,
-# then SIGINT and require a clean drain. CI runs this; it is also the
-# quickest way to sanity-check serving locally.
+# a short prompt decoded concurrently under chunked prefill, and a predict
+# sharing steps with a long prefill), check /statz, then SIGINT and require
+# a clean drain. CI runs this; it is also the quickest way to sanity-check
+# serving locally.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -116,8 +117,37 @@ if [ "${short_toks_alone}" != "${short_toks_conc}" ]; then
 fi
 echo "concurrent long+short generation: deterministic"
 
+# Predict and generate share one scheduler: predicts sent while the long
+# prompt prefills in -prefill-chunk 4 steps ride those steps and must
+# return the token they return alone.
+CTX='[9,8,7,6,5]'
+pred_alone=$(curl -sf -X POST "http://${ADDR}/v1/predict" \
+    -d '{"model":"opt-c1","mode":"nora","context":'"${CTX}"'}')
+tok_alone=$(echo "${pred_alone}" | sed 's/.*"token":\([0-9]*\).*/\1/')
+long_out="$(mktemp)"
+curl -sfN -X POST "http://${ADDR}/v1/generate" \
+    -d '{"model":"opt-c1","mode":"nora","prompt":'"${LONG}"',"max_tokens":6}' >"${long_out}" &
+LONG_PID=$!
+for i in 1 2 3 4 5; do
+    pred_conc=$(curl -sf -X POST "http://${ADDR}/v1/predict" \
+        -d '{"model":"opt-c1","mode":"nora","context":'"${CTX}"'}')
+    tok_conc=$(echo "${pred_conc}" | sed 's/.*"token":\([0-9]*\).*/\1/')
+    if [ "${tok_alone}" != "${tok_conc}" ]; then
+        echo "serve_smoke: predict drifted beside a prefilling prompt: ${tok_alone} vs ${tok_conc} (${pred_conc})" >&2
+        exit 1
+    fi
+done
+wait "${LONG_PID}"
+long_toks_pred=$(grep -o '"token":[0-9]*' "${long_out}" | tr '\n' ' ')
+rm -f "${long_out}"
+if [ "${long_toks_alone}" != "${long_toks_pred}" ]; then
+    echo "serve_smoke: long prompt drifted beside a predict: '${long_toks_alone}' vs '${long_toks_pred}'" >&2
+    exit 1
+fi
+echo "predict beside a chunked prefill: deterministic (${pred_conc})"
+
 statz=$(curl -sf "http://${ADDR}/statz")
-echo "${statz}" | grep -q '"batch"'
+echo "${statz}" | grep -q '"predict":{"requests":[1-9]'
 echo "${statz}" | grep -q '"gen"'
 echo "${statz}" | grep -q '"prefill_tokens"'
 echo "${statz}" | grep -q '"kv_pages"'
