@@ -140,21 +140,20 @@ func main() {
 	tbl := harness.NewTable(
 		fmt.Sprintf("nora-loadgen — %s/%s, %v per level, ctx %d", *modelKey, *mode, *duration, n),
 		"concurrency", "req/s", "ok", "429", "errors", "p50 ms", "p95 ms", "p99 ms", "mean batch")
-	for _, c := range conc {
-		res := runLevel(client, *url, *modelKey, *mode, spec.Cfg.Vocab, n, c, *duration, *seed)
-		// The scheduler's mean sequences per step, cumulative to this level.
-		statz, err := fetchStatz(client, *url)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	rows, err := runPredictLevels(client, *url, *modelKey, *mode, spec.Cfg.Vocab, n, conc, *duration, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for _, l := range rows {
+		res := l.res
 		lat := percentiles(res.latencies)
 		tbl.Add(
-			fmt.Sprintf("%d", c),
+			fmt.Sprintf("%d", res.concurrency),
 			float64(res.ok)/res.elapsed.Seconds(),
 			float64(res.ok), float64(res.rejects), float64(res.errs),
 			lat[0], lat[1], lat[2],
-			statz.Gen.MeanSeqs,
+			l.seqsPerStep,
 		)
 	}
 	if err := tbl.WriteText(os.Stdout); err != nil {
@@ -173,6 +172,44 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// predictLevel is one concurrency level of the predict benchmark: the
+// client's view and the scheduler's mean sequences per step over the level.
+type predictLevel struct {
+	res         levelResult
+	seqsPerStep float64
+}
+
+// runPredictLevels runs runLevel at each concurrency in turn and reads
+// /statz around each level.
+func runPredictLevels(client *http.Client, url, modelKey, mode string, vocab, ctxLen int, conc []int, d time.Duration, seed uint64) ([]predictLevel, error) {
+	var levels []predictLevel
+	for _, c := range conc {
+		before, err := fetchStatz(client, url)
+		if err != nil {
+			return nil, err
+		}
+		res := runLevel(client, url, modelKey, mode, vocab, ctxLen, c, d, seed)
+		after, err := fetchStatz(client, url)
+		if err != nil {
+			return nil, err
+		}
+		levels = append(levels, predictLevel{res, levelSeqsPerStep(before.Gen, after.Gen)})
+	}
+	return levels, nil
+}
+
+// levelSeqsPerStep is the scheduler's mean sequences per step over one
+// level: the difference of the /statz gen counters seqs and steps across
+// it, so each row shows its own level rather than a mean since the server
+// started.
+func levelSeqsPerStep(before, after serve.GenStatz) float64 {
+	steps := after.Steps - before.Steps
+	if steps <= 0 {
+		return 0
+	}
+	return float64(after.Seqs-before.Seqs) / float64(steps)
 }
 
 // runLevel keeps `workers` requests in flight for `d`, closed-loop: each

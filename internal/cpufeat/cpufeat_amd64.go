@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package cpufeat
 
@@ -19,4 +19,10 @@ func hasAVX2() bool {
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&(1<<5) != 0
+}
+
+// hasFMA reports CPUID.1:ECX bit 12, the FMA3 extension.
+func hasFMA() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	return ecx1&(1<<12) != 0
 }

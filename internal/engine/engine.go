@@ -245,6 +245,11 @@ type Deployment struct {
 	BuildTime time.Duration
 
 	runner *nn.Runner
+	// layers are the runner's linear operators in the model's layer order,
+	// gathered once when the deployment is built (its operators never
+	// change after that): the counter and fault reads walk them instead of
+	// rebuilding the model's layer list and looking each name up.
+	layers []nn.LinearOp
 
 	evalMu sync.Mutex
 	evals  map[uint64]*evalEntry
@@ -318,12 +323,17 @@ func (e *Engine) Deploy(req Request) *Deployment {
 	start := time.Now()
 	runner := core.Deploy(req.Net, req.Mode, req.Cal, req.Config, req.Seed(), req.Opt)
 	build := time.Since(start)
+	var layers []nn.LinearOp
+	for _, spec := range runner.Model().Linears() {
+		layers = append(layers, runner.Linear(spec.Name))
+	}
 	entry.dep = &Deployment{
 		eng:       e,
 		Key:       req.contentKey(),
 		Seed:      req.Seed(),
 		BuildTime: build,
 		runner:    runner,
+		layers:    layers,
 		evals:     make(map[uint64]*evalEntry),
 	}
 	close(entry.ready)
@@ -449,8 +459,8 @@ func (d *Deployment) opSnapshot() opSnapshot {
 		RowsProcessed() int64
 	}
 	var snap opSnapshot
-	for _, spec := range d.runner.Model().Linears() {
-		if op, ok := d.runner.Linear(spec.Name).(costOp); ok {
+	for _, l := range d.layers {
+		if op, ok := l.(costOp); ok {
 			snap.counters.Add(op.CostCounters())
 			snap.macs += op.DigitalEquivalentMACs()
 			snap.rows += op.RowsProcessed()
@@ -489,8 +499,8 @@ func (d *Deployment) CostComparison() analog.CostComparison {
 func (d *Deployment) FaultStats() analog.FaultStats {
 	type faultOp interface{ FaultStats() analog.FaultStats }
 	var total analog.FaultStats
-	for _, spec := range d.runner.Model().Linears() {
-		if op, ok := d.runner.Linear(spec.Name).(faultOp); ok {
+	for _, l := range d.layers {
+		if op, ok := l.(faultOp); ok {
 			total.Add(op.FaultStats())
 		}
 	}

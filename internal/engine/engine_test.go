@@ -420,3 +420,37 @@ func TestChipKeying(t *testing.T) {
 		t.Fatal("chip-keyed deployments aliased the implicit chip")
 	}
 }
+
+// TestOpCountersFromCachedLayers pins the counter reads on the operators a
+// deployment gathers when it is built: OpCounters, DigitalEquivalentMACs,
+// AnalogRows and FaultStats equal a fresh walk of the model's layer list,
+// and OpCounters, which the serving scheduler reads twice per step,
+// allocates nothing.
+func TestOpCountersFromCachedLayers(t *testing.T) {
+	m := testModel(t)
+	eng := New(Config{})
+	cfg := testConfig()
+	cfg.FaultRate = 0.02
+	dep := eng.Deploy(Request{Model: "m", Net: m, Mode: core.DeployAnalogNaive, Config: cfg})
+	dep.Eval(testSeqs(3, 6))
+	var want analog.OpCounters
+	var macs, rows int64
+	var faults analog.FaultStats
+	for _, spec := range m.Linears() {
+		l := dep.Runner().Linear(spec.Name).(*analog.AnalogLinear)
+		want.Add(l.CostCounters())
+		macs += l.DigitalEquivalentMACs()
+		rows += l.RowsProcessed()
+		faults.Add(l.FaultStats())
+	}
+	if got := dep.OpCounters(); got != want || want.MVMs == 0 {
+		t.Fatalf("OpCounters = %+v, layer walk %+v", got, want)
+	}
+	if dep.DigitalEquivalentMACs() != macs || dep.AnalogRows() != rows || dep.FaultStats() != faults {
+		t.Fatalf("MACs %d rows %d faults %+v; layer walk %d, %d, %+v",
+			dep.DigitalEquivalentMACs(), dep.AnalogRows(), dep.FaultStats(), macs, rows, faults)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { dep.OpCounters() }); allocs != 0 {
+		t.Fatalf("OpCounters allocates %.0f objects per call", allocs)
+	}
+}

@@ -269,7 +269,7 @@ func (bg *BatchGenerator) runSplit(segs []stepSeg, k int) *tensor.Matrix {
 	vocab := bg.r.model.Cfg.Vocab
 	out := &bg.outM
 	out.Rows, out.Cols = len(segs), vocab
-	out.Data = growF(&bg.logits, len(segs)*vocab)
+	out.Data = grow(&bg.logits, len(segs)*vocab)
 	r := 0
 	for _, g := range bg.groups[:groups] {
 		r += copy(out.Data[r:], g.out.Data)

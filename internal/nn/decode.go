@@ -74,7 +74,8 @@ type decodeScratch struct {
 	x, h, q, k, v, attn, o, ff1, ff2 []float32
 	end                              []float32
 	logits                           []float32
-	scores                           []float32
+	scores, mx                       []float32
+	sums                             []float64
 	rope                             []float32
 	pos                              []int
 	views                            []LinearOp
@@ -92,29 +93,15 @@ type decodeScratch struct {
 // address never escapes to the heap.
 func (sc *decodeScratch) mat(m *tensor.Matrix, buf *[]float32, rows, cols int) *tensor.Matrix {
 	m.Rows, m.Cols = rows, cols
-	m.Data = growF(buf, rows*cols)
+	m.Data = grow(buf, rows*cols)
 	return m
 }
 
-func growF(buf *[]float32, n int) []float32 {
+// grow returns *buf resliced to n elements, reallocating only when its
+// capacity is short; the contents are the caller's to overwrite.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growInt(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growStates(buf *[]*decodeState, n int) []*decodeState {
-	if cap(*buf) < n {
-		*buf = make([]*decodeState, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -186,8 +173,8 @@ func runSegments(base *Runner, segs []stepSeg, sc *decodeScratch) *tensor.Matrix
 		n += len(s.tokens)
 	}
 	d := m.Cfg.DModel
-	rowStates := growStates(&sc.rowStates, n)
-	positions := growInt(&sc.pos, n)
+	rowStates := grow(&sc.rowStates, n)
+	positions := grow(&sc.pos, n)
 	x := sc.mat(&sc.xM, &sc.x, n, d)
 	r := 0
 	for _, s := range segs {
@@ -255,10 +242,8 @@ func stepBlock(base *Runner, layer int, b *Block, x *tensor.Matrix, rowStates []
 	// sequential decode would.
 	for i := 0; i < n; i++ {
 		st := rowStates[i]
-		kr, vr := st.kvAt(layer, positions[i])
-		copy(kr, k.Row(i))
-		copy(vr, v.Row(i))
-		attendCachedRow(attn.Row(i), m, st, layer, q.Row(i), positions[i], &sc.scores)
+		st.storeKV(layer, positions[i], k.Row(i), v.Row(i))
+		attendCachedRow(attn.Row(i), m, st, layer, q.Row(i), positions[i], sc)
 	}
 	o := sc.mat(&sc.oM, &sc.o, n, d)
 	applyRowScoped(base, rowStates, names["attn.o"], attn, o, sc)
@@ -276,7 +261,7 @@ func stepBlock(base *Runner, layer int, b *Block, x *tensor.Matrix, rowStates []
 		ff := b.WGate.Value.Cols
 		gate := sc.mat(&sc.ff1M, &sc.ff1, n, ff)
 		applyRowScoped(base, rowStates, names["mlp.gate"], h, gate, sc)
-		siluInPlace(gate.Data)
+		tensor.SiLUInPlace(gate.Data)
 		up := sc.mat(&sc.ff2M, &sc.ff2, n, ff)
 		applyRowScoped(base, rowStates, names["mlp.up"], h, up, sc)
 		gate.MulInPlace(up)
@@ -327,79 +312,84 @@ func applyRowScoped(base *Runner, states []*decodeState, name string, x, out *te
 // its own sequence's cache, so batching cannot change its result. The cache
 // is paged: positions are walked page-segment by page-segment in ascending
 // order, so the arithmetic (and therefore the result, bit for bit) is
-// independent of the page size. Products are rounded explicitly so no
-// platform fuses them into an FMA.
-func attendCachedRow(out []float32, m *Model, st *decodeState, layer int, q []float32, pos int, scores *[]float32) {
-	dh := m.Cfg.HeadDim()
-	group := m.Cfg.NHeads / m.Cfg.KVHeads()
+// independent of the page size.
+//
+// The arithmetic is tensor's (AttnScores, AttnSoftmax, AttnValues), which
+// runs packed where the CPU allows with the bits of the scalar loops: each
+// score sums its products in column order, the softmax max skips NaN, each
+// head's float64 sum of numerators runs in position order, and each output
+// column adds its weighted values in position order. The row runs in three
+// passes over every head, scores, softmax and values, so the heads' serial
+// sums overlap; the query heads of one grouped-query group go through the
+// score and value kernels in pairs that share every K and V load.
+func attendCachedRow(out []float32, m *Model, st *decodeState, layer int, q []float32, pos int, sc *decodeScratch) {
+	heads, dh := m.Cfg.NHeads, m.Cfg.HeadDim()
+	group := heads / m.Cfg.KVHeads()
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	lo := 0
 	if w := m.Cfg.Window; w > 0 && pos-w+1 > 0 {
 		lo = pos - w + 1
 	}
 	span := pos - lo + 1
-	for c := range out {
-		out[c] = 0
-	}
+	clear(out)
 	pt, kvd := st.pool.pageTokens, st.pool.kvDim
-	// Size the score buffer to the reserved capacity, not the current span —
-	// span grows with every decode step, and growing to it exactly would
-	// reallocate once per token.
-	sc := growF(scores, len(st.pages)*pt)[:span]
-	for hIdx := 0; hIdx < m.Cfg.NHeads; hIdx++ {
-		cLo, cHi := hIdx*dh, (hIdx+1)*dh
-		kvLo := (hIdx / group) * dh
-		qh := q[cLo:cHi]
-		// scores over cached positions [lo, pos]
-		mx := float32(math.Inf(-1))
-		for t0, t := lo, 0; t0 <= pos; {
-			p := t0 / pt
-			s0 := t0 - p*pt
-			nseg := pt - s0
-			if t0+nseg > pos+1 {
-				nseg = pos + 1 - t0
-			}
-			kb := st.pages[p][layer*2*pt*kvd:]
-			for s := s0; s < s0+nseg; s++ {
-				krow := kb[s*kvd+kvLo:][:dh]
-				var sum float32
-				for c, qv := range qh {
-					sum += float32(qv * krow[c])
-				}
-				sum *= scale
-				sc[t] = sum
-				if sum > mx {
-					mx = sum
-				}
-				t++
-			}
-			t0 += nseg
+	kOff, vOff := layer*2*pt*kvd, (layer*2+1)*pt*kvd
+	// One score row per head, sized to the reserved capacity, not the
+	// current span — span grows with every decode step, and growing to it
+	// exactly would reallocate once per token.
+	rows := len(st.pages) * pt
+	buf := grow(&sc.scores, heads*rows)
+	mx, sums := grow(&sc.mx, heads), grow(&sc.sums, heads)
+	for h := 0; h < heads; {
+		pair := (h+1)%group != 0
+		kvLo := (h / group) * dh
+		d0, q0 := buf[h*rows:][:span], q[h*dh:][:dh]
+		var d1, q1 []float32
+		if pair {
+			d1, q1 = buf[(h+1)*rows:][:span], q[(h+1)*dh:][:dh]
 		}
-		var sum float64
-		for t := range sc {
-			e := float32(math.Exp(float64(sc[t] - mx)))
-			sc[t] = e
-			sum += float64(e)
-		}
-		inv := float32(1 / sum)
-		orow := out[cLo:cHi]
+		mx0, mx1 := float32(math.Inf(-1)), float32(math.Inf(-1))
 		for t0, t := lo, 0; t0 <= pos; {
-			p := t0 / pt
-			s0 := t0 - p*pt
-			nseg := pt - s0
-			if t0+nseg > pos+1 {
-				nseg = pos + 1 - t0
-			}
-			vb := st.pages[p][(layer*2+1)*pt*kvd:]
-			for s := s0; s < s0+nseg; s++ {
-				w := sc[t] * inv
-				vrow := vb[s*kvd+kvLo:][:dh]
-				for c := range orow {
-					orow[c] += float32(w * vrow[c])
-				}
-				t++
-			}
-			t0 += nseg
+			p, s := t0/pt, t0%pt
+			n := min(pt-s, pos+1-t0)
+			kb := st.pages[p][kOff+kvLo*pt+s:]
+			mx0, mx1 = tensor.AttnScores(d0[t:t+n], part(d1, t, n), q0, q1, kb, pt, scale, mx0, mx1)
+			t0, t = t0+n, t+n
+		}
+		mx[h] = mx0
+		if h++; pair {
+			mx[h] = mx1
+			h++
 		}
 	}
+	tensor.AttnSoftmax(buf, span, rows, mx, sums)
+	for h := 0; h < heads; {
+		pair := (h+1)%group != 0
+		kvLo := (h / group) * dh
+		w0, o0 := buf[h*rows:][:span], out[h*dh:][:dh]
+		inv0 := float32(1 / sums[h])
+		var w1, o1 []float32
+		var inv1 float32
+		if pair {
+			w1, o1, inv1 = buf[(h+1)*rows:][:span], out[(h+1)*dh:][:dh], float32(1/sums[h+1])
+		}
+		for t0, t := lo, 0; t0 <= pos; {
+			p, s := t0/pt, t0%pt
+			n := min(pt-s, pos+1-t0)
+			vb := st.pages[p][vOff+s*kvd+kvLo:]
+			tensor.AttnValues(o0, o1, w0[t:t+n], part(w1, t, n), vb, kvd, inv0, inv1)
+			t0, t = t0+n, t+n
+		}
+		if h++; pair {
+			h++
+		}
+	}
+}
+
+// part returns d[t:t+n], or nil for a nil d (the absent second head).
+func part(d []float32, t, n int) []float32 {
+	if d == nil {
+		return nil
+	}
+	return d[t : t+n]
 }

@@ -108,15 +108,20 @@ func (st *decodeState) releasePages() {
 	st.pages = st.pages[:0]
 }
 
-// kvAt returns the K and V cache rows (length KVDim each) of one position in
-// one layer. Within a page, layer l's K rows occupy a contiguous
-// pageTokens×kvDim block at offset l·2·pageTokens·kvDim, followed by the V
-// block — attendCachedRow iterates positions page-segment by page-segment so
-// its inner loops stay contiguous.
-func (st *decodeState) kvAt(layer, pos int) (k, v []float32) {
+// storeKV writes the K and V rows (length KVDim each) of one position in
+// one layer into its page. Within a page, layer l's K block (pageTokens·kvDim
+// floats at offset l·2·pageTokens·kvDim) holds the keys position-minor, key
+// column c of page slot s at c·pageTokens+s, so the score kernel loads eight
+// positions of one column at once; the V block after it holds one
+// kvDim-float row per slot, so the value kernel loads a row's columns at
+// once.
+func (st *decodeState) storeKV(layer, pos int, k, v []float32) {
 	pt, d := st.pool.pageTokens, st.pool.kvDim
 	pg := st.pages[pos/pt]
-	kOff := (layer*2*pt + pos%pt) * d
-	vOff := kOff + pt*d
-	return pg[kOff : kOff+d : kOff+d], pg[vOff : vOff+d : vOff+d]
+	s := pos % pt
+	kb := pg[layer*2*pt*d:][:pt*d]
+	for c, x := range k[:d] {
+		kb[c*pt+s] = x
+	}
+	copy(pg[(layer*2+1)*pt*d+s*d:][:d], v)
 }

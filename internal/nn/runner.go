@@ -184,7 +184,7 @@ func (r *Runner) lastLogits(tokens []int) (fs *forwardState, logits []float32) {
 	layers, kvd := len(m.Blocks), m.Cfg.KVDim()
 	fs.kv = kvPagePool{layers: layers, kvDim: kvd, pageTokens: n, pageLen: layers * 2 * n * kvd, total: 1}
 	fs.st.runner, fs.st.pool, fs.st.pos = r, &fs.kv, 0
-	fs.st.pages = append(fs.st.pages[:0], growF(&fs.page, fs.kv.pageLen))
+	fs.st.pages = append(fs.st.pages[:0], grow(&fs.page, fs.kv.pageLen))
 	fs.sc.seg1[0] = stepSeg{st: &fs.st, tokens: tokens}
 	out, err := stepSegments(r, fs.sc.seg1[:], &fs.sc)
 	if err != nil {
@@ -409,14 +409,6 @@ func reluInPlace(v []float32) {
 	}
 }
 
-// siluInPlace replaces every element x of v by x·sigmoid(x), evaluated in
-// float64.
-func siluInPlace(v []float32) {
-	for i, x := range v {
-		v[i] = float32(float64(x) / (1 + math.Exp(-float64(x))))
-	}
-}
-
 // ropeFreqCache memoizes the per-index RoPE frequencies base^(−2i/headDim):
 // they depend only on (headDim, base), and recomputing math.Pow per element
 // per call dominated the rotary cost. The cached values are produced by the
@@ -448,7 +440,7 @@ func ropeFreqs(headDim int, base float64) []float64 {
 func ropeInferInPlace(q, k *tensor.Matrix, headDim int, positions []int, base float64, cs *[]float32) {
 	freqs := ropeFreqs(headDim, base)
 	half := len(freqs)
-	buf := growF(cs, 2*half)
+	buf := grow(cs, 2*half)
 	co, si := buf[:half], buf[half:]
 	for r := 0; r < q.Rows; r++ {
 		pos := float64(positions[r])

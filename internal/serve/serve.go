@@ -565,11 +565,14 @@ type GenStatz struct {
 	Canceled  int64        `json:"canceled"`
 	Predict   PredictStatz `json:"predict"`
 	// Steps/MeanBatch/TokensPerSecond mirror the engine's step counters for
-	// convenience (MeanBatch counts decode rows per step); MeanSeqs and
-	// MaxBatch are the mean and largest number of sequences — predicts,
-	// decode rows and prefill chunks — one step carried.
+	// convenience (MeanBatch counts decode rows per step); Seqs is the
+	// number of sequences — predicts, decode rows and prefill chunks — all
+	// steps carried, and MeanSeqs and MaxBatch the mean and largest number
+	// one step carried. Seqs and Steps are raw counters, so a client can
+	// difference them over any window.
 	Steps           int64   `json:"steps"`
 	MeanBatch       float64 `json:"mean_batch"`
+	Seqs            int64   `json:"seqs"`
 	MeanSeqs        float64 `json:"mean_seqs"`
 	MaxBatch        int64   `json:"max_batch"`
 	TokensPerSecond float64 `json:"tokens_per_second"`
@@ -700,6 +703,7 @@ func (s *Server) StatzSnapshot() Statz {
 		},
 		Steps:           es.GenSteps,
 		MeanBatch:       es.GenMeanBatch(),
+		Seqs:            s.stepSeqs.Load(),
 		MaxBatch:        s.genMaxBatch.Load(),
 		TokensPerSecond: es.GenTokensPerSecond(),
 
@@ -714,7 +718,7 @@ func (s *Server) StatzSnapshot() Statz {
 		Step:                   s.stepHist.stats(),
 	}
 	if es.GenSteps > 0 {
-		gs.MeanSeqs = float64(s.stepSeqs.Load()) / float64(es.GenSteps)
+		gs.MeanSeqs = float64(gs.Seqs) / float64(es.GenSteps)
 	}
 	fls, depCost, faults := s.fleetSnapshot()
 	return Statz{

@@ -3,6 +3,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 
 	"nora/internal/cpufeat"
@@ -56,5 +57,33 @@ func TestKernelDispatchBothWays(t *testing.T) {
 				bitsEqual(t, name, fast[i], twin[i])
 			}
 		}
+	}
+}
+
+// TestPackedExpChosen holds the start-up self-check to its purpose. On a
+// CPU with AVX2 and FMA whose math.Exp takes archExp's FMA path (the path
+// the replay computes) the packed exp must be chosen, so a broken kernel
+// cannot hide behind the self-check and skip its tests; and the probe must
+// hold inputs on which the SSE path rounds differently, so a math.Exp on
+// that path (GODEBUG=cpu.fma=off) can never pass it.
+func TestPackedExpChosen(t *testing.T) {
+	splits := 0
+	fmaPath := true
+	for _, x := range expProbe {
+		if math.Float64bits(expFMAReplay(x)) != math.Float64bits(math.Exp(x)) {
+			fmaPath = false
+		}
+		if expSSEReplay(x) != expFMAReplay(x) {
+			splits++
+		}
+	}
+	if splits < 4 {
+		t.Fatalf("only %d probe inputs tell math.Exp's SSE path from its FMA path", splits)
+	}
+	if cpufeat.FMA && fmaPath && !useExp {
+		t.Fatal("math.Exp takes the FMA path on this AVX2+FMA CPU, but the packed exp failed its start-up probe")
+	}
+	if useExp && !fmaPath {
+		t.Fatal("the packed exp is on although math.Exp is not the FMA replay on the probe")
 	}
 }

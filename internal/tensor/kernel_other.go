@@ -4,6 +4,8 @@ package tensor
 
 // Without an assembly kernel every entry point runs its portable twin.
 
+const useAVX2 = false
+
 func macPanel(dst, x, b []float32, ld int) { macPanelGeneric(dst, x, b, ld) }
 
 func macAbsPanel(z, load, x, w, aw []float32, ld int) {

@@ -12,7 +12,8 @@ import (
 // tail (32-, 8- and 1-wide), k-panel boundaries, sparse and all-zero inputs,
 // ±0, subnormals and, for AbsMaxVec and QuantizeUnitInto, the special values
 // and rounding ties the packed lanes must treat exactly as scalar code. On a
-// platform without the assembly kernels both sides are the twin.
+// platform without the assembly kernels both sides would be the twin, so
+// the tests skip.
 
 // macWidths are the column counts the panel tests cover: 0–70 hits every
 // tail combination, 96, 128 and 192 the zoo's full-width blocks.
@@ -72,6 +73,7 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 // must also equal two separate panel passes, the second over |x| computed
 // the way the read path used to (−x for negative x, so −0 stays −0).
 func TestMACPanelsMatchGeneric(t *testing.T) {
+	packedOrSkip(t)
 	r := rng.New(0xACC5)
 	for _, density := range []float32{1, 0.3, 0.05, 0} {
 		for _, n := range macWidths() {
@@ -174,6 +176,7 @@ func TestBlockedProductsAcrossPanels(t *testing.T) {
 // bits: NaN is skipped (x > mx is false), so the packed VMAXPS must keep the
 // running maximum when its other operand is NaN.
 func TestAbsMaxVecEdges(t *testing.T) {
+	packedOrSkip(t)
 	r := rng.New(0xAB5)
 	nan := float32(math.NaN())
 	negNaN := math.Float32frombits(math.Float32bits(nan) | 1<<31)
@@ -216,6 +219,7 @@ func TestAbsMaxVecEdges(t *testing.T) {
 // beyond, ±0, subnormals and the smallest normals, ±Inf and NaN, at each
 // rotation so every value visits every packed lane and the scalar tail.
 func TestQuantizeUnitIntoEdges(t *testing.T) {
+	packedOrSkip(t)
 	for _, half := range []float32{1, 2, 4, 64, 128, 1024} {
 		inv := 1 / half
 		var vals []float32
@@ -259,6 +263,7 @@ func TestQuantizeUnitIntoEdges(t *testing.T) {
 // at each position in turn, so it visits every packed lane and the scalar
 // tail; the outputs and the saturation flag must match.
 func TestADCInPlaceEdges(t *testing.T) {
+	packedOrSkip(t)
 	inf := float32(math.Inf(1))
 	for _, c := range []struct{ half, bound float32 }{{1, 1}, {4, 2}, {64, 1}, {128, 3}, {1024, 0.75}} {
 		half, bound := c.half, c.bound
@@ -307,6 +312,7 @@ func TestADCInPlaceEdges(t *testing.T) {
 // clamp switches, in every lane and the scalar tail, among random loads,
 // ±0, subnormals and a NaN load or output.
 func TestIRDropInPlaceEdges(t *testing.T) {
+	packedOrSkip(t)
 	r := rng.New(0x1D0)
 	nine := float32(0.9)
 	edges := []float32{nine, math.Nextafter32(nine, 0), math.Nextafter32(nine, 1), 0.5, 2, 0,
@@ -355,6 +361,7 @@ func TestIRDropInPlaceEdges(t *testing.T) {
 // random operands with ±0 and subnormals in dst, c and z, and scalar
 // factors from ordinary values down to a subnormal and −0.
 func TestRescaleAddIntoEdges(t *testing.T) {
+	packedOrSkip(t)
 	r := rng.New(0x5CA1E)
 	factors := []float32{1, 0.37, 3.5e3, -2, math.Float32frombits(1), float32(math.Copysign(0, -1))}
 	for _, n := range macWidths() {
